@@ -11,11 +11,13 @@ use crate::encoding::CkksEncoder;
 use crate::error::EvalError;
 use crate::params::CkksParams;
 use fxhenn_math::bigint::BigUint;
-use fxhenn_math::modops::{inv_mod, mul_mod, BarrettReducer};
-use fxhenn_math::ntt::NttTable;
+use fxhenn_math::modops::{inv_mod, mul_mod, pow_mod, BarrettReducer};
+use fxhenn_math::ntt::{bit_reverse, NttTable};
 use fxhenn_math::poly::RnsPoly;
 use fxhenn_math::prime::NttPrimeGenerator;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
 
 /// Per-level CRT reconstruction constants over `q_0 … q_{l-1}`.
 #[derive(Debug, Clone)]
@@ -105,6 +107,10 @@ pub struct CkksContext {
     /// CRT constants per level (index `l-1`).
     crt: Vec<LevelCrt>,
     encoder: CkksEncoder,
+    /// Evaluation-domain permutation per Galois element, built on first
+    /// use and shared by every evaluator over this context (the `nn`
+    /// executor spawns one per round).
+    galois_perms: RwLock<HashMap<usize, Arc<[u32]>>>,
 }
 
 impl CkksContext {
@@ -219,6 +225,7 @@ impl CkksContext {
             digit_lifts,
             crt,
             encoder,
+            galois_perms: RwLock::new(HashMap::new()),
         }
     }
 
@@ -314,11 +321,37 @@ impl CkksContext {
         t
     }
 
-    /// Barrett reducer for coefficient prime `i` (or the special prime at
-    /// index `L`).
+    /// Barrett reducer for coefficient prime `i` (or special prime `k`
+    /// at index `L + k`).
     #[inline]
     pub fn reducer(&self, i: usize) -> &BarrettReducer {
         &self.reducers[i]
+    }
+
+    /// NTT table for coefficient prime `i` (or special prime `k` at
+    /// index `L + k`).
+    #[inline]
+    pub fn table(&self, i: usize) -> &NttTable {
+        &self.tables[i]
+    }
+
+    /// The [`reducer`](Self::reducer) / [`table`](Self::table) index of
+    /// position `pos` in the level-`l` extended basis (`l` coefficient
+    /// primes, then the special primes).
+    #[inline]
+    pub fn extended_index(&self, l: usize, pos: usize) -> usize {
+        if pos < l {
+            pos
+        } else {
+            self.max_level() + (pos - l)
+        }
+    }
+
+    /// Number of key-switch digits with at least one prime at level `l`
+    /// (digit groups are contiguous, so these are digits `0..count`).
+    #[inline]
+    pub fn active_digits(&self, l: usize) -> usize {
+        l.div_ceil(self.params.digit_group_size())
     }
 
     /// `q_{l-1}^{-1} mod q_i` for `i < l-1`: the Rescale constants when
@@ -605,12 +638,37 @@ impl CkksContext {
     /// Galois exponent for a left rotation by `steps` slots:
     /// `5^steps mod 2N`.
     pub fn galois_exponent(&self, steps: usize) -> usize {
-        let m = 2 * self.degree();
-        let mut g = 1usize;
-        for _ in 0..steps % (self.degree() / 2) {
-            g = (g * 5) % m;
+        let slots = self.degree() / 2;
+        pow_mod(5, (steps % slots) as u64, 2 * self.degree() as u64) as usize
+    }
+
+    /// The automorphism `X ↦ X^g` as a gather over evaluation-domain
+    /// slots: `σ_g(f)[i] = f[perm[i]]`. Slot `i` of this repo's
+    /// (bit-reversed) NTT output holds `f(ψ^{2·brv(i)+1})`, and
+    /// `σ_g(f)(ψ^e) = f(ψ^{e·g})`, so
+    /// `perm[i] = brv(((g·(2·brv(i)+1) mod 2N) − 1) / 2)`. Cached per
+    /// `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is even (not a Galois element of the 2N-th
+    /// cyclotomic).
+    pub fn galois_perm(&self, g: usize) -> Arc<[u32]> {
+        assert!(g % 2 == 1, "Galois exponent must be odd");
+        let cache = &self.galois_perms;
+        if let Some(perm) = cache.read().expect("perm cache lock poisoned").get(&g) {
+            return perm.clone();
         }
-        g
+        let n = self.degree() as u64;
+        let bits = n.trailing_zeros();
+        let perm: Arc<[u32]> = (0..n)
+            .map(|i| {
+                let e = (2 * bit_reverse(i, bits) + 1) * g as u64 % (2 * n);
+                u32::try_from(bit_reverse((e - 1) / 2, bits)).expect("slot index fits u32")
+            })
+            .collect();
+        let mut map = cache.write().expect("perm cache lock poisoned");
+        map.entry(g).or_insert(perm).clone()
     }
 }
 
@@ -733,6 +791,46 @@ mod tests {
         let g3 = ctx.galois_exponent(3);
         assert_eq!(g3, (5 * 5 * 5) % m);
         assert_eq!(ctx.galois_exponent(0), 1);
+        // Square-and-multiply agrees with step-by-step multiplication
+        // over the whole rotation group, wrap-around included.
+        let mut g = 1usize;
+        for steps in 0..=ctx.degree() / 2 {
+            assert_eq!(ctx.galois_exponent(steps), g, "steps {steps}");
+            g = g * 5 % m;
+        }
+    }
+
+    #[test]
+    fn galois_perm_is_the_ntt_image_of_the_coefficient_automorphism() {
+        use fxhenn_math::poly::Domain;
+        use fxhenn_math::sampling::sample_uniform;
+        use rand::{rngs::StdRng, SeedableRng};
+        let ctx = toy();
+        let l = ctx.max_level();
+        let (moduli, tables) = (ctx.moduli_at(l), ctx.tables_at(l));
+        let p = sample_uniform(
+            ctx.degree(),
+            moduli,
+            Domain::Coeff,
+            &mut StdRng::seed_from_u64(9),
+        );
+        for g in [
+            ctx.galois_exponent(1),
+            ctx.galois_exponent(37),
+            ctx.conjugation_exponent(),
+        ] {
+            let mut expected = p.automorphism(g, moduli);
+            expected.to_ntt(&tables);
+            let mut p_ntt = p.clone();
+            p_ntt.to_ntt(&tables);
+            let mut got = RnsPoly::zero(ctx.degree(), 1, Domain::Coeff);
+            p_ntt.gather_into(&ctx.galois_perm(g), &mut got);
+            assert_eq!(got, expected, "g = {g}");
+            assert!(
+                Arc::ptr_eq(&ctx.galois_perm(g), &ctx.galois_perm(g)),
+                "cached"
+            );
+        }
     }
 
     #[test]

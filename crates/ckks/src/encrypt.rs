@@ -12,7 +12,7 @@ use crate::error::EvalError;
 use crate::keys::{PublicKey, SecretKey};
 use crate::noise::{fresh_public_std, fresh_symmetric_std};
 use crate::telemetry::noise_metrics;
-use fxhenn_math::poly::RnsPoly;
+use fxhenn_math::poly::{Domain, RnsPoly};
 use fxhenn_math::sampling::{
     sample_gaussian, sample_ternary, sample_uniform, small_to_rns, STANDARD_SIGMA,
 };
@@ -150,7 +150,7 @@ impl<'a, R: Rng> SymmetricEncryptor<'a, R> {
 
         // Uniform c1 (sampled in the coefficient domain, mapped to NTT —
         // the distribution is invariant under the transform).
-        let mut a = sample_uniform(n, moduli, &mut self.rng);
+        let mut a = sample_uniform(n, moduli, Domain::Coeff, &mut self.rng);
         a.to_ntt(&tables);
         let mut e = small_to_rns(&sample_gaussian(n, STANDARD_SIGMA, &mut self.rng), moduli);
         e.to_ntt(&tables);

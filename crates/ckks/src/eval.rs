@@ -7,12 +7,17 @@
 //! how the functional co-simulation cross-checks the analytic HE-CNN
 //! lowering of `fxhenn-nn`.
 //!
-//! Key switching follows the hybrid construction with per-prime digits:
-//! the input polynomial is decomposed into its `l` residue digits, each
-//! digit is lifted (exactly — single-prime digits need no approximate
-//! base conversion) to the level basis extended with the special prime
-//! `p`, multiplied against the matching key digit, accumulated, and the
-//! result is scaled back down by `p`.
+//! Key switching follows the hybrid construction: the input polynomial
+//! is decomposed into `dnum` digits (one per group of primes), each
+//! digit is lifted to the level basis extended with the special primes
+//! (exactly for single-prime digits, by fast base conversion otherwise),
+//! multiplied against the matching key digit, accumulated, and the
+//! result is scaled back down by `P`. The whole path stays in the
+//! evaluation domain unless the arithmetic forces it out — Galois
+//! automorphisms are slot permutations, only the key-switch input is
+//! inverse-transformed, mod-down and Rescale transform only the limb
+//! they remove — and [`Evaluator::hoist`] shares one decomposition
+//! between all rotations of a ciphertext (DESIGN.md §15).
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::context::CkksContext;
@@ -22,10 +27,13 @@ use crate::noise::{fresh_public_std, magnitude_add, NoiseEstimate};
 use crate::telemetry::{he_metrics, noise_metrics, OpSpanLog};
 use crate::trace::{HeOpKind, OpTrace};
 use fxhenn_math::budget::{self, Progress};
-use fxhenn_math::modops::{sub_mod, ShoupMul};
+use fxhenn_math::modops::ShoupMul;
 use fxhenn_math::par;
 use crate::wire::CiphertextView;
-use fxhenn_math::poly::{mul_pointwise_of, Domain, PolyLimbs, RnsPoly};
+use fxhenn_math::poly::{
+    dot2_lazy, lift_limb, lift_limb_centered, mul_pointwise_of, sub_from_and_scale, Domain,
+    PolyLimbs, RnsPoly,
+};
 use std::time::Instant;
 
 mod sealed {
@@ -122,9 +130,10 @@ impl EvalOps for CiphertextView<'_> {
 const SCALE_TOLERANCE: f64 = 1e-9;
 
 /// Most polynomials the scratch pool keeps alive between operations.
-/// A key switch holds three in flight (two accumulators and the digit);
-/// a few extra cover the rescale/rotate temporaries without letting the
-/// pool grow without bound.
+/// A key switch holds five in flight (the permuted input, its
+/// coefficient side, two accumulators and a worker's digit buffer); a
+/// few extra cover further workers and the division temporaries without
+/// letting the pool grow without bound.
 const SCRATCH_POOL_CAP: usize = 8;
 
 /// Executes HE operations over a CKKS context, optionally recording an
@@ -731,14 +740,8 @@ impl<'a> Evaluator<'a> {
         self.enforce_floor(&est)?;
         let l = ct.level();
         let moduli = self.ctx.moduli_at(l);
-        let tables = self.ctx.tables_at(l);
 
-        let mut d2 = self.take_scratch();
-        d2.copy_from(ct.poly(2));
-        d2.to_coeff(&tables);
-        let (mut ks0, mut ks1) = self.apply_key_switch(&d2, &rk.0, l);
-        self.put_scratch(d2);
-
+        let (mut ks0, mut ks1) = self.key_switch(ct.poly(2), &rk.0, l);
         ks0.add_assign(ct.poly(0), moduli);
         ks1.add_assign(ct.poly(1), moduli);
 
@@ -768,37 +771,19 @@ impl<'a> Evaluator<'a> {
         }
         let est = ct.noise_estimate().after_rescale(self.ctx)?;
         self.enforce_floor(&est)?;
-        let tables = self.ctx.tables_at(l);
-        let new_tables = self.ctx.tables_at(l - 1);
+        let ctx = self.ctx;
+        let invs = ctx.rescale_inv_at(l);
 
-        // Per-polynomial cost: two NTT round-trips over l limbs plus the
-        // exact division — coarse enough to fan out per ciphertext
-        // polynomial when spawning pays.
-        let poly_grain = l.saturating_mul(par::grain_ntt(self.ctx.degree()));
-        let polys = if par::planned_threads(ct.size(), poly_grain) > 1 {
-            let n = self.ctx.degree();
-            par::map_indexed(ct.size(), poly_grain, |k| {
-                let mut x = RnsPoly::zero(n, 1, Domain::Ntt);
-                x.copy_from(ct.poly(k));
-                x.to_coeff(&tables);
-                self.exact_divide_drop_last(&mut x, l);
-                x.to_ntt(&new_tables);
-                x
-            })
-        } else {
-            let mut polys = Vec::with_capacity(ct.size());
-            for p in ct.polys() {
-                let mut x = self.take_scratch();
-                x.copy_from(p);
-                x.to_coeff(&tables);
-                self.exact_divide_drop_last(&mut x, l);
-                x.to_ntt(&new_tables);
-                polys.push(x);
-            }
-            polys
-        };
+        let mut removed = self.take_scratch();
+        let mut polys = Vec::with_capacity(ct.size());
+        for p in ct.polys() {
+            let mut x = self.take_scratch();
+            divide_by_last(ctx, p, l, invs, &mut removed, &mut x);
+            polys.push(x);
+        }
+        self.put_scratch(removed);
         let mut out = Ciphertext::new(polys, ct.scale());
-        out.set_scale(ct.scale() / self.ctx.dropped_prime_at(l) as f64);
+        out.set_scale(ct.scale() / ctx.dropped_prime_at(l) as f64);
         Self::stamp_noise(&mut out, HeOpKind::Rescale, &est, ct.msg_bound());
         self.record(HeOpKind::Rescale, l, started);
         Ok(out)
@@ -869,59 +854,72 @@ impl<'a> Evaluator<'a> {
         if !ct.is_linear() {
             return Err(EvalError::NotLinear { op: "rotating" });
         }
-        let l = ct.level();
         let g = self.ctx.galois_exponent(steps);
         if g == 1 {
             return Ok(ct.clone());
         }
-        let key = gks
-            .key(g)
-            .ok_or(EvalError::MissingGaloisKey { steps })?;
-        let est = ct.noise_estimate().after_rotate(self.ctx);
-        self.enforce_floor(&est)?;
-        let moduli = self.ctx.moduli_at(l);
-        let tables = self.ctx.tables_at(l);
-
-        let (mut ks0, ks1) = self.galois_key_switch(ct, g, key, l);
-
-        // First output polynomial: σ_g(c0) + ks0, built in scratch.
-        let mut tmp = self.take_scratch();
-        tmp.copy_from(ct.poly(0));
-        tmp.to_coeff(&tables);
-        let mut tg = self.take_scratch();
-        tmp.automorphism_into(g, moduli, &mut tg);
-        tg.to_ntt(&tables);
-        ks0.add_assign(&tg, moduli);
-        self.put_scratch(tmp);
-        self.put_scratch(tg);
-
-        self.record(HeOpKind::Rotate, l, started);
-        let mut out = Ciphertext::new(vec![ks0, ks1], ct.scale());
-        Self::stamp_noise(&mut out, HeOpKind::Rotate, &est, ct.msg_bound());
-        Ok(out)
+        let key = gks.key(g).ok_or(EvalError::MissingGaloisKey { steps })?;
+        self.apply_galois(ct, None, g, key, HeOpKind::Rotate, started)
     }
 
-    /// Shared Galois tail of Rotate and Conjugate: key-switches
-    /// `σ_g(c1)` under `key`, returning the `(ks0, ks1)` pair at level
-    /// `l` (both NTT-domain).
-    fn galois_key_switch(
+    /// Expands the key-switch digits of `ct` once, for any number of
+    /// [`rotate_hoisted`](Evaluator::rotate_hoisted) calls: every
+    /// rotation of one ciphertext decomposes the same `c1`, so the
+    /// `l` inverse and `dnum × (l + s)` forward transforms are shared
+    /// and each rotation is left with the inner product and mod-down.
+    /// Not a HOP: nothing is recorded until a rotation consumes it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the ciphertext is not linear, or when the ambient
+    /// budget has stopped.
+    pub fn hoist<'c>(&mut self, ct: &'c Ciphertext) -> Result<HoistedDigits<'c>, EvalError> {
+        self.budget_gate()?;
+        if !ct.is_linear() {
+            return Err(EvalError::NotLinear { op: "rotating" });
+        }
+        let ctx = self.ctx;
+        let (n, l) = (ctx.degree(), ct.level());
+        let c1 = ct.poly(1);
+        let src = self.digit_sources(c1, l);
+        let mut limbs: Vec<RnsPoly> = (0..l + ctx.special_moduli().len())
+            .map(|_| RnsPoly::zero(n, 1, Domain::Ntt))
+            .collect();
+        let grain = ctx.active_digits(l).saturating_mul(par::grain_ntt(n));
+        par::for_each_indexed(&mut limbs, grain, |t, buf| {
+            expand_target(ctx, c1, &src, l, t, buf);
+        });
+        self.put_scratch(src);
+        Ok(HoistedDigits { ct, limbs })
+    }
+
+    /// [`rotate`](Evaluator::rotate) of the ciphertext behind `h`,
+    /// reading its pre-expanded digits through the automorphism's slot
+    /// permutation instead of decomposing `σ_g(c1)` afresh. Booked,
+    /// noise-estimated and floor-checked exactly as `rotate` is. The
+    /// digits are `σ_g` of the canonical ones — coefficients in
+    /// `(−q_j, q_j)` rather than `[0, q_j)` — so the output decrypts to
+    /// the same message within the same noise estimate but is not
+    /// bit-identical to `rotate`'s.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the required Galois key is missing, or when the ambient
+    /// budget has stopped.
+    pub fn rotate_hoisted(
         &mut self,
-        ct: &Ciphertext,
-        g: usize,
-        key: &KeySwitchKey,
-        l: usize,
-    ) -> (RnsPoly, RnsPoly) {
-        let moduli = self.ctx.moduli_at(l);
-        let tables = self.ctx.tables_at(l);
-        let mut c1 = self.take_scratch();
-        c1.copy_from(ct.poly(1));
-        c1.to_coeff(&tables);
-        let mut c1g = self.take_scratch();
-        c1.automorphism_into(g, moduli, &mut c1g);
-        self.put_scratch(c1);
-        let out = self.apply_key_switch(&c1g, key, l);
-        self.put_scratch(c1g);
-        out
+        h: &HoistedDigits<'_>,
+        steps: usize,
+        gks: &GaloisKeys,
+    ) -> Result<Ciphertext, EvalError> {
+        self.budget_gate()?;
+        let started = Instant::now();
+        let g = self.ctx.galois_exponent(steps);
+        if g == 1 {
+            return Ok(h.ct.clone());
+        }
+        let key = gks.key(g).ok_or(EvalError::MissingGaloisKey { steps })?;
+        self.apply_galois(h.ct, Some(&h.limbs), g, key, HeOpKind::Rotate, started)
     }
 
     /// Complex conjugation of the slot vector (Galois element `2N - 1`).
@@ -944,34 +942,51 @@ impl<'a> Evaluator<'a> {
         if !ct.is_linear() {
             return Err(EvalError::NotLinear { op: "conjugating" });
         }
-        let l = ct.level();
         let g = self.ctx.conjugation_exponent();
-        let est = ct.noise_estimate().after_key_switch(self.ctx);
+        self.apply_galois(ct, None, g, key, HeOpKind::Conjugate, started)
+    }
+
+    /// The one Galois path behind Rotate and Conjugate:
+    /// `(σ_g(c0) + ks0, ks1)` with `(ks0, ks1)` the key switch of
+    /// `σ_g(c1)` under `key`. In the evaluation domain `σ_g` is a gather
+    /// through the context's cached permutation, so neither polynomial
+    /// is transformed for it. `hoisted` supplies pre-expanded digits of
+    /// `c1` (see [`hoist`](Evaluator::hoist)).
+    fn apply_galois(
+        &mut self,
+        ct: &Ciphertext,
+        hoisted: Option<&[RnsPoly]>,
+        g: usize,
+        key: &KeySwitchKey,
+        kind: HeOpKind,
+        started: Instant,
+    ) -> Result<Ciphertext, EvalError> {
+        let est = ct.noise_estimate().after_rotate(self.ctx);
         self.enforce_floor(&est)?;
-        let moduli = self.ctx.moduli_at(l);
-        let tables = self.ctx.tables_at(l);
+        let l = ct.level();
+        let perm = self.ctx.galois_perm(g);
 
-        let (mut ks0, ks1) = self.galois_key_switch(ct, g, key, l);
+        let (mut ks0, ks1) = match hoisted {
+            Some(limbs) => self.inner_product_mod_down(Digits::Hoisted(limbs, &perm), key, l),
+            None => {
+                let mut c1g = self.take_scratch();
+                ct.poly(1).gather_into(&perm, &mut c1g);
+                let ks = self.key_switch(&c1g, key, l);
+                self.put_scratch(c1g);
+                ks
+            }
+        };
+        ks0.add_assign_gather(ct.poly(0), &perm, self.ctx.moduli_at(l));
 
-        let mut tmp = self.take_scratch();
-        tmp.copy_from(ct.poly(0));
-        tmp.to_coeff(&tables);
-        let mut tg = self.take_scratch();
-        tmp.automorphism_into(g, moduli, &mut tg);
-        tg.to_ntt(&tables);
-        ks0.add_assign(&tg, moduli);
-        self.put_scratch(tmp);
-        self.put_scratch(tg);
-
-        self.record(HeOpKind::Conjugate, l, started);
+        self.record(kind, l, started);
         let mut out = Ciphertext::new(vec![ks0, ks1], ct.scale());
-        Self::stamp_noise(&mut out, HeOpKind::Conjugate, &est, ct.msg_bound());
+        Self::stamp_noise(&mut out, kind, &est, ct.msg_bound());
         Ok(out)
     }
 
-    /// Core hybrid key switch. `d` must be a coefficient-domain polynomial
-    /// at level `l`; returns the NTT-domain contribution pair `(ks0, ks1)`
-    /// at level `l` such that `ks0 + ks1·s ≈ d·s'`.
+    /// Core hybrid key switch of the NTT-domain polynomial `d` at level
+    /// `l`: returns the NTT-domain pair `(ks0, ks1)` at level `l` such
+    /// that `ks0 + ks1·s ≈ d·s'`.
     ///
     /// Each of the `dnum` digits covers a group of coefficient primes.
     /// Single-prime digits lift exactly (a residue in `[0, q_i)` reduces
@@ -979,200 +994,113 @@ impl<'a> Evaluator<'a> {
     /// (approximate) base conversion — its `+αD` error multiplies a
     /// gadget divisible by `Q_l·P` and vanishes, contributing only to
     /// the noise term that the special-prime mod-down suppresses.
-    fn apply_key_switch(
-        &mut self,
-        d: &RnsPoly,
-        ksk: &KeySwitchKey,
-        l: usize,
-    ) -> (RnsPoly, RnsPoly) {
-        assert_eq!(d.domain(), Domain::Coeff, "key switch input in coeff domain");
+    fn key_switch(&mut self, d: &RnsPoly, ksk: &KeySwitchKey, l: usize) -> (RnsPoly, RnsPoly) {
+        let src = self.digit_sources(d, l);
+        let ks = self.inner_product_mod_down(Digits::Lean(d, &src), ksk, l);
+        self.put_scratch(src);
+        ks
+    }
+
+    /// The coefficient-domain side of key-switch input `d`: its `l`
+    /// inverse transforms — the only ones a switch needs, every lift
+    /// reads them — with the limbs of multi-prime digits pre-multiplied
+    /// by `[(D/q_i)^{-1}]_{q_i}`, the per-coefficient inner factor of
+    /// their base conversion.
+    fn digit_sources(&mut self, d: &RnsPoly, l: usize) -> RnsPoly {
+        assert_eq!(d.domain(), Domain::Ntt, "key switch input in NTT domain");
         assert_eq!(d.level_count(), l, "key switch input level mismatch");
         let ctx = self.ctx;
-        let n = ctx.degree();
-        let max_l = ctx.max_level();
-        let specials = ctx.special_moduli();
-        let s_count = specials.len();
-        let ext_moduli = ctx.extended_moduli_at(l);
-        let ext_tables = ctx.extended_tables_at(l);
-        // Reducer / key-component index per extended position: the level's
-        // coefficient primes then the special primes (stored after the
-        // full chain, at indices max_l..).
-        let ext_idx: Vec<usize> = (0..l).chain(max_l..max_l + s_count).collect();
-
-        // Per-digit cost in element-operations: the lift, (l + s) forward
-        // NTTs and the two pointwise inner products — milliseconds-scale
-        // at production degrees, which is exactly the grain where the
-        // adaptive dispatcher starts paying for worker threads.
-        let digit_grain = (l + s_count).saturating_mul(par::grain_ntt(n));
-        if par::planned_threads(ksk.digits.len(), digit_grain) > 1 {
-            return self.apply_key_switch_fanout(d, ksk, l, &ext_idx, digit_grain);
-        }
-
-        let mut acc0 = self.take_scratch();
-        acc0.reshape_zeroed(n, l + s_count, Domain::Ntt);
-        let mut acc1 = self.take_scratch();
-        acc1.reshape_zeroed(n, l + s_count, Domain::Ntt);
-        // One digit buffer reused across all dnum digits.
-        let mut digit = self.take_scratch();
-
-        for (j, key_digit) in ksk.digits.iter().enumerate() {
-            if ctx.digit_lift(l, j).indices.is_empty() {
-                continue; // digit entirely above the current level
+        let mut src = self.take_scratch();
+        src.copy_from(d);
+        src.to_coeff(&ctx.tables_at(l));
+        for j in 0..ctx.active_digits(l) {
+            let lift = ctx.digit_lift(l, j);
+            // `ghat_inv` is empty for single-prime digits.
+            for (&i, &ghat_inv) in lift.indices.iter().zip(&lift.ghat_inv) {
+                let q_i = ctx.coeff_moduli()[i];
+                let ghat_inv = ShoupMul::new(ghat_inv % q_i, q_i);
+                for x in src.component_mut(i) {
+                    *x = ghat_inv.mul(*x);
+                }
             }
-            lift_digit_into(ctx, d, l, j, &ext_idx, &mut digit);
-            digit.to_ntt(&ext_tables);
-
-            // Inner products against the key digit, addressed through
-            // ext_idx — no select_components clones, no t0/t1 temporaries.
-            acc0.add_mul_pointwise_select(&digit, &key_digit.0, &ext_idx, &ext_moduli);
-            acc1.add_mul_pointwise_select(&digit, &key_digit.1, &ext_idx, &ext_moduli);
         }
-        self.put_scratch(digit);
-
-        self.mod_down_special(&mut acc0, l);
-        self.mod_down_special(&mut acc1, l);
-        (acc0, acc1)
+        src
     }
 
-    /// Coarse-grain sibling of [`Evaluator::apply_key_switch`]: one
-    /// worker per key digit, each building its digit and the two inner
-    /// products in fresh buffers, accumulated afterwards in digit order.
-    /// Bit-identical to the serial path — every per-coefficient
-    /// `add_mod`/`mul` sees the same operands in the same order (a digit
-    /// contribution is `0 + digit·key`, and the ordered fold replays the
-    /// serial accumulation). Chosen only when the dispatcher judges
-    /// digit-sized work to clear the measured spawn crossover, so the
-    /// allocation-free scratch path still serves the common case.
-    fn apply_key_switch_fanout(
+    /// `Σ_j digit_j·key_j` over the extended basis, then mod-down by
+    /// `P`. Runs target-limb-outermost: a limb's `dnum` digit residues
+    /// are all that is materialised at once (expanded on the spot, or
+    /// borrowed from a hoist), and both inner products accumulate lazily
+    /// in one pass over them. Target limbs are independent, so workers
+    /// take contiguous runs of them — each with its own digit buffer —
+    /// and the result is bit-identical to the inline loop.
+    fn inner_product_mod_down(
         &mut self,
-        d: &RnsPoly,
+        digits: Digits<'_>,
         ksk: &KeySwitchKey,
         l: usize,
-        ext_idx: &[usize],
-        digit_grain: usize,
     ) -> (RnsPoly, RnsPoly) {
         let ctx = self.ctx;
         let n = ctx.degree();
-        let s_count = ctx.special_moduli().len();
-        let ext_moduli = ctx.extended_moduli_at(l);
-        let ext_tables = ctx.extended_tables_at(l);
-
-        let contribs: Vec<Option<(RnsPoly, RnsPoly)>> =
-            par::map_indexed(ksk.digits.len(), digit_grain, |j| {
-                if ctx.digit_lift(l, j).indices.is_empty() {
-                    return None;
-                }
-                let mut digit = RnsPoly::zero(n, l + s_count, Domain::Coeff);
-                lift_digit_into(ctx, d, l, j, ext_idx, &mut digit);
-                digit.to_ntt(&ext_tables);
-                let key_digit = &ksk.digits[j];
-                let mut p0 = RnsPoly::zero(n, l + s_count, Domain::Ntt);
-                p0.add_mul_pointwise_select(&digit, &key_digit.0, ext_idx, &ext_moduli);
-                let mut p1 = RnsPoly::zero(n, l + s_count, Domain::Ntt);
-                p1.add_mul_pointwise_select(&digit, &key_digit.1, ext_idx, &ext_moduli);
-                Some((p0, p1))
-            });
+        let ext = l + ctx.special_moduli().len();
+        let active = ctx.active_digits(l);
 
         let mut acc0 = self.take_scratch();
-        acc0.reshape_zeroed(n, l + s_count, Domain::Ntt);
+        acc0.reshape(n, ext, Domain::Ntt);
         let mut acc1 = self.take_scratch();
-        acc1.reshape_zeroed(n, l + s_count, Domain::Ntt);
-        for (p0, p1) in contribs.into_iter().flatten() {
-            acc0.add_assign(&p0, &ext_moduli);
-            acc1.add_assign(&p1, &ext_moduli);
-        }
-        self.mod_down_special(&mut acc0, l);
-        self.mod_down_special(&mut acc1, l);
-        (acc0, acc1)
-    }
+        acc1.reshape(n, ext, Domain::Ntt);
 
-    /// Divides an extended-basis polynomial by the full special modulus
-    /// `P = ∏ specials`, removing one special prime at a time (each step
-    /// an exact centered RNS division), leaving a level-`l` polynomial
-    /// in NTT form. Works in place: each remaining component is rewritten
-    /// where it sits, so the only per-call allocation is the popped
-    /// special component.
-    fn mod_down_special(&self, acc: &mut RnsPoly, l: usize) {
-        let ctx = self.ctx;
-        let ext_tables = ctx.extended_tables_at(l);
-        let tables = ctx.tables_at(l);
-        acc.to_coeff(&ext_tables);
-
-        let moduli = ctx.moduli_at(l);
-        let specials = ctx.special_moduli();
-        let max_l = ctx.max_level();
-
-        for k in (0..specials.len()).rev() {
-            let sp = specials[k];
-            let half = sp / 2;
-            let invs = ctx.moddown_inv(k);
-            // Remaining basis: l coefficient primes + specials[..k].
-            let special_comp = acc.drop_last_component();
-            let grain = par::grain_linear(ctx.degree());
-            par::for_each_indexed(acc.components_mut(), grain, |pos, comp| {
-                // Target modulus: coefficient prime pos, or special t.
-                // moddown_inv(k) lists inverses for [q_0..q_{L-1}] then
-                // specials[0..k].
-                let (m, red, inv) = if pos < l {
-                    (moduli[pos], ctx.reducer(pos), invs[pos])
-                } else {
-                    let t = pos - l;
-                    (specials[t], ctx.reducer(max_l + t), invs[max_l + t])
-                };
-                let inv = ShoupMul::new(inv % m, m);
-                for (x, &c) in comp.iter_mut().zip(&special_comp) {
-                    let centered = if c > half {
-                        let r = red.reduce_u64(sp - c);
-                        if r == 0 {
-                            0
-                        } else {
-                            m - r
+        let limb_grain = active.saturating_mul(par::grain_ntt(n));
+        let run = ext.div_ceil(par::planned_threads(ext, limb_grain));
+        let mut jobs: Vec<_> = acc0
+            .components_mut()
+            .chunks_mut(run)
+            .zip(acc1.components_mut().chunks_mut(run))
+            .map(|(out0, out1)| (out0, out1, self.take_scratch()))
+            .collect();
+        par::for_each_indexed(
+            &mut jobs,
+            run.saturating_mul(limb_grain),
+            |w, (out0, out1, buf)| {
+                for (off, (out0, out1)) in out0.iter_mut().zip(out1.iter_mut()).enumerate() {
+                    let t = w * run + off;
+                    let (residues, perm): (&RnsPoly, _) = match digits {
+                        Digits::Lean(d, src) => {
+                            expand_target(ctx, d, src, l, t, buf);
+                            (buf, None)
                         }
-                    } else {
-                        red.reduce_u64(c)
+                        Digits::Hoisted(limbs, perm) => (&limbs[t], Some(perm)),
                     };
-                    let diff = sub_mod(*x, centered, m);
-                    *x = inv.mul(diff);
+                    let idx = ctx.extended_index(l, t);
+                    let a: Vec<&[u64]> = (0..active).map(|j| residues.component(j)).collect();
+                    let keys = &ksk.digits[..active];
+                    let b0: Vec<&[u64]> = keys.iter().map(|(b, _)| b.component(idx)).collect();
+                    let b1: Vec<&[u64]> = keys.iter().map(|(_, a)| a.component(idx)).collect();
+                    dot2_lazy(&a, perm, &b0, &b1, ctx.reducer(idx), out0, out1);
                 }
-            });
+            },
+        );
+        for (_, _, buf) in jobs {
+            self.put_scratch(buf);
         }
-        acc.to_ntt(&tables);
+        (self.mod_down(acc0, l), self.mod_down(acc1, l))
     }
 
-    /// Exact RNS division by the last prime of level `l` (the Rescale
-    /// core): `(x - [x]_{q_{l-1}}) / q_{l-1}` per remaining component,
-    /// with a centered representative so rounding error stays at ±1/2.
-    /// Works in place, dropping the last component of `p`.
-    fn exact_divide_drop_last(&self, p: &mut RnsPoly, l: usize) {
-        assert_eq!(p.domain(), Domain::Coeff);
-        assert_eq!(p.level_count(), l, "rescale input level mismatch");
+    /// Divides an extended-basis NTT-form polynomial by the full special
+    /// modulus `P = ∏ specials`, one special prime at a time (each step
+    /// an exact centred division, see [`divide_by_last`]), leaving a
+    /// level-`l` polynomial.
+    fn mod_down(&mut self, mut acc: RnsPoly, l: usize) -> RnsPoly {
         let ctx = self.ctx;
-        let dropped = ctx.dropped_prime_at(l);
-        let half = dropped / 2;
-        let invs = ctx.rescale_inv_at(l);
-        let moduli = ctx.moduli_at(l);
-
-        let last = p.drop_last_component();
-        let grain = par::grain_linear(ctx.degree());
-        par::for_each_indexed(p.components_mut(), grain, |j, comp| {
-            let qj = moduli[j];
-            let red = ctx.reducer(j);
-            let inv = ShoupMul::new(invs[j] % qj, qj);
-            for (x, &c) in comp.iter_mut().zip(&last) {
-                let centered = if c > half {
-                    let m = red.reduce_u64(dropped - c);
-                    if m == 0 {
-                        0
-                    } else {
-                        qj - m
-                    }
-                } else {
-                    red.reduce_u64(c)
-                };
-                let diff = sub_mod(*x, centered, qj);
-                *x = inv.mul(diff);
-            }
-        });
+        let mut removed = self.take_scratch();
+        let mut out = self.take_scratch();
+        for k in (0..ctx.special_moduli().len()).rev() {
+            divide_by_last(ctx, &acc, l, ctx.moddown_inv(k), &mut removed, &mut out);
+            std::mem::swap(&mut acc, &mut out);
+        }
+        self.put_scratch(removed);
+        self.put_scratch(out);
+        acc
     }
 
     /// Adds a constant (same value in every slot) without consuming a
@@ -1213,64 +1141,118 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Builds key-switch digit `j` of `d` into `digit` (coefficient domain,
-/// `l + specials` components): the shared lift used by both the serial
-/// scratch path and the per-digit fan-out. Single-prime digits lift
-/// exactly; multi-prime digits use the fast (approximate) base
-/// conversion.
-fn lift_digit_into(
+/// The key-switch digits of one ciphertext's `c1`, expanded once by
+/// [`Evaluator::hoist`] and shared by every
+/// [`Evaluator::rotate_hoisted`] of that ciphertext. Borrows the
+/// ciphertext (rotations still need its `c0`) and owns
+/// `dnum × (l + s)` NTT-form limbs, freed on drop.
+#[derive(Debug)]
+pub struct HoistedDigits<'c> {
+    ct: &'c Ciphertext,
+    /// Per extended-basis limb, the active digits' residues (one
+    /// component per digit).
+    limbs: Vec<RnsPoly>,
+}
+
+impl<'c> HoistedDigits<'c> {
+    /// The ciphertext these digits decompose.
+    pub fn ciphertext(&self) -> &'c Ciphertext {
+        self.ct
+    }
+}
+
+/// Where the inner product reads a target limb's digit residues from.
+#[derive(Clone, Copy)]
+enum Digits<'a> {
+    /// Expanded on the spot from the key-switch input (NTT form) and its
+    /// [`Evaluator::digit_sources`].
+    Lean(&'a RnsPoly, &'a RnsPoly),
+    /// Borrowed from a hoist and read through a Galois permutation.
+    Hoisted(&'a [RnsPoly], &'a [u32]),
+}
+
+/// Writes the NTT-form residue of every active key-switch digit of `d`
+/// on limb `t` of the level-`l` extended basis into `buf`, one component
+/// per digit; `src` is `d`'s [`Evaluator::digit_sources`].
+fn expand_target(
     ctx: &CkksContext,
     d: &RnsPoly,
+    src: &RnsPoly,
     l: usize,
-    j: usize,
-    ext_idx: &[usize],
-    digit: &mut RnsPoly,
+    t: usize,
+    buf: &mut RnsPoly,
 ) {
-    let n = ctx.degree();
-    let s_count = ctx.special_moduli().len();
-    let lift = ctx.digit_lift(l, j);
-    debug_assert!(!lift.indices.is_empty(), "empty digits are skipped");
-    match lift.indices.len() {
-        1 => {
-            // Exact lift: one residue polynomial with coefficients
-            // in [0, q_i) reduces directly into every modulus.
-            let src = d.component(lift.indices[0]);
-            digit.reshape(n, l + s_count, Domain::Coeff);
-            let grain = par::grain_linear(n);
-            par::for_each_indexed(digit.components_mut(), grain, |t, out| {
-                let red = ctx.reducer(ext_idx[t]);
-                for (o, &c) in out.iter_mut().zip(src) {
-                    *o = red.reduce_u64(c);
-                }
-            });
+    let idx = ctx.extended_index(l, t);
+    let (red, table) = (ctx.reducer(idx), ctx.table(idx));
+    buf.reshape(ctx.degree(), ctx.active_digits(l), Domain::Ntt);
+    for (j, out) in buf.components_mut().iter_mut().enumerate() {
+        let lift = ctx.digit_lift(l, j);
+        if lift.indices.contains(&t) {
+            // On a prime of its own a digit is the input limb itself:
+            // NTT∘iNTT = id, and in a multi-prime digit every other
+            // conversion term carries a factor D/q_i ≡ 0 (mod q_t).
+            out.copy_from_slice(d.component(t));
+            continue;
         }
-        _ => {
-            // Fast base conversion of the multi-prime digit:
-            // y_m = Σ_i [x_i · (D/q_i)^{-1}]_{q_i} · (D/q_i mod m).
-            // Per-coefficient inner factors [x_i · ĝ_i]_{q_i}.
-            let factors: Vec<Vec<u64>> =
-                par::map_indexed(lift.indices.len(), par::grain_linear(n), |t| {
-                    let q_i = ctx.coeff_moduli()[lift.indices[t]];
-                    let ghat = ShoupMul::new(lift.ghat_inv[t] % q_i, q_i);
-                    d.component(lift.indices[t])
-                        .iter()
-                        .map(|&c| ghat.mul(c))
-                        .collect()
-                });
-            digit.reshape(n, l + s_count, Domain::Coeff);
-            let grain = par::grain_linear(n.saturating_mul(lift.indices.len()));
-            par::for_each_indexed(digit.components_mut(), grain, |target, out| {
-                let red = ctx.reducer(ext_idx[target]);
+        match lift.indices[..] {
+            // Exact lift: a residue in [0, q_i) reduces directly.
+            [i] => lift_limb(src.component(i), ctx.coeff_moduli()[i], red, out),
+            // Fast base conversion of a multi-prime digit,
+            // y_t = Σ_i [x_i·ĝ_i^{-1}]_{q_i}·(D/q_i mod q_t), with the
+            // bracketed factors already in `src`.
+            _ => {
                 for (k, o) in out.iter_mut().enumerate() {
-                    let mut acc: u128 = 0;
-                    for (t, f) in factors.iter().enumerate() {
-                        acc += f[k] as u128 * lift.ghat_mod[t][target] as u128;
-                    }
+                    let acc: u128 = lift
+                        .indices
+                        .iter()
+                        .zip(&lift.ghat_mod)
+                        .map(|(&i, ghat)| src.component(i)[k] as u128 * ghat[t] as u128)
+                        .sum();
                     *o = red.reduce_u128(acc);
                 }
-            });
+            }
         }
+        table.forward(out);
     }
+}
+
+/// Exact division of NTT-form `x` by the last prime of its basis (`l`
+/// coefficient primes, then any special primes), centred so the
+/// rounding error stays at ±1/2; the quotient over the remaining primes
+/// lands in `out`. This is the core of both Rescale and each mod-down
+/// step, and it inverse-transforms only the limb being removed: that
+/// limb's centred residue goes forward into each remaining modulus and
+/// `(x − r)·inv` finishes slot-wise. The NTT is linear, so the result is
+/// the coefficient-domain division bit for bit. `invs` holds the removed
+/// prime's inverses by [`CkksContext::reducer`] index; `removed` is
+/// scratch.
+fn divide_by_last(
+    ctx: &CkksContext,
+    x: &RnsPoly,
+    l: usize,
+    invs: &[u64],
+    removed: &mut RnsPoly,
+    out: &mut RnsPoly,
+) {
+    assert_eq!(x.domain(), Domain::Ntt, "division input in NTT domain");
+    let n = ctx.degree();
+    let last = x.level_count() - 1;
+    let last_idx = ctx.extended_index(l, last);
+    let p = ctx.reducer(last_idx).modulus();
+    removed.reshape(n, 1, Domain::Coeff);
+    removed.component_mut(0).copy_from_slice(x.component(last));
+    ctx.table(last_idx).inverse(removed.component_mut(0));
+    let removed = removed.component(0);
+
+    out.reshape(n, last, Domain::Ntt);
+    par::for_each_indexed(out.components_mut(), par::grain_ntt(n), |pos, r| {
+        let idx = ctx.extended_index(l, pos);
+        let red = ctx.reducer(idx);
+        let m = red.modulus();
+        lift_limb_centered(removed, p, red, r);
+        ctx.table(idx).forward(r);
+        sub_from_and_scale(r, x.component(pos), &ShoupMul::new(invs[idx] % m, m), m);
+    });
 }
 
 #[cfg(test)]

@@ -56,6 +56,17 @@ impl KeySwitchKey {
     pub fn digit_count(&self) -> usize {
         self.digits.len()
     }
+
+    /// Digit `j` as `(b_j, a_j)`, NTT form over the full extended basis
+    /// (the owned twin of [`crate::wire::KskRef::digit`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= digit_count()`.
+    pub fn digit(&self, j: usize) -> (&RnsPoly, &RnsPoly) {
+        let (b, a) = &self.digits[j];
+        (b, a)
+    }
 }
 
 /// Relinearization key: switches `s²` back to `s` after a CCmult.
@@ -136,8 +147,7 @@ impl<'a, R: Rng> KeyGenerator<'a, R> {
         let tables = ctx.tables_at(l);
         let n = ctx.degree();
 
-        let mut a = sample_uniform(n, moduli, &mut self.rng);
-        a.to_ntt(&tables); // uniform stays uniform
+        let a = sample_uniform(n, moduli, Domain::Ntt, &mut self.rng);
 
         let mut e = small_to_rns(&sample_gaussian(n, STANDARD_SIGMA, &mut self.rng), moduli);
         e.to_ntt(&tables);
@@ -168,8 +178,7 @@ impl<'a, R: Rng> KeyGenerator<'a, R> {
 
         let digits = (0..dnum)
             .map(|j| {
-                let mut a_j = sample_uniform(n, &ext_moduli, &mut self.rng);
-                a_j.to_ntt(&ext_tables);
+                let a_j = sample_uniform(n, &ext_moduli, Domain::Ntt, &mut self.rng);
                 let mut e_j = small_to_rns(
                     &sample_gaussian(n, STANDARD_SIGMA, &mut self.rng),
                     &ext_moduli,

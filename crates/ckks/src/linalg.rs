@@ -114,6 +114,8 @@ pub fn matvec_diagonal(
         .add(ct, &shifted_copy)
         .expect("rotation preserves level/scale");
 
+    // Every diagonal rotates the same doubled input: decompose it once.
+    let hoisted = ev.hoist(&doubled).expect("rotation output is linear");
     let mut acc: Option<Ciphertext> = None;
     for k in 0..dim {
         // diag_k[j] = W[j][(j+k) mod dim], nonzero only in slots 0..dim.
@@ -121,11 +123,9 @@ pub fn matvec_diagonal(
         for j in 0..dim {
             diag[j] = matrix[j * dim + (j + k) % dim];
         }
-        let rotated = if k == 0 {
-            doubled.clone()
-        } else {
-            ev.rotate(&doubled, k, gks).expect("diagonal rotation key")
-        };
+        let rotated = ev
+            .rotate_hoisted(&hoisted, k, gks)
+            .expect("diagonal rotation key");
         let pw = ev
             .encode_for_mul(&diag, rotated.level())
             .expect("diagonal fits the slot count");

@@ -28,7 +28,7 @@
 
 use crate::cipher::Ciphertext;
 use crate::error::EvalError;
-use crate::eval::Evaluator;
+use crate::eval::{Evaluator, HoistedDigits};
 use crate::keys::{GaloisKeys, RelinKey};
 use crate::trace::HeOpKind;
 use std::collections::BTreeSet;
@@ -121,15 +121,17 @@ fn bsgs_masked_sum(
     let count = prog.masks.len();
     let level = ct.level();
     let bs = bsgs_baby_count(count);
-    let mut babies: Vec<Ciphertext> = Vec::with_capacity(bs);
-    for b in 0..bs.min(count) {
-        let steps = norm_shift(b as i64 * prog.stride, slots);
-        babies.push(if steps == 0 {
-            ct.clone()
-        } else {
-            ev.rotate(ct, steps, gks)?
-        });
-    }
+    // Every baby step rotates the one input: decompose it once (and
+    // free the digits before the giant steps).
+    let babies: Vec<Ciphertext> = {
+        let hoisted = ev.hoist(ct)?;
+        (0..bs.min(count))
+            .map(|b| {
+                let steps = norm_shift(b as i64 * prog.stride, slots);
+                ev.rotate_hoisted(&hoisted, steps, gks)
+            })
+            .collect::<Result<_, _>>()?
+    };
     let mut acc: Option<Ciphertext> = None;
     for g in 0..count.div_ceil(bs) {
         let gshift = prog.start + (g * bs) as i64 * prog.stride;
@@ -173,13 +175,13 @@ fn bsgs_masked_sum(
 /// `k−d` for the wraparound columns) and one rescale.
 fn phi_shift(
     ev: &mut Evaluator<'_>,
-    sa: &Ciphertext,
+    sa: &HoistedDigits<'_>,
     k: usize,
     d: usize,
     gks: &GaloisKeys,
 ) -> Result<Ciphertext, EvalError> {
     let slots = ev.context().degree() / 2;
-    let level = sa.level();
+    let level = sa.ciphertext().level();
     let dd = d * d;
     let mut keep = vec![0.0f64; dd];
     let mut wrap = vec![0.0f64; dd];
@@ -190,10 +192,10 @@ fn phi_shift(
             wrap[t] = 1.0;
         }
     }
-    let r1 = ev.rotate(sa, norm_shift(k as i64, slots), gks)?;
+    let r1 = ev.rotate_hoisted(sa, norm_shift(k as i64, slots), gks)?;
     let p1 = ev.encode_for_mul(&tile(&keep, slots), level)?;
     let t1 = ev.mul_plain(&r1, &p1)?;
-    let r2 = ev.rotate(sa, norm_shift(k as i64 - d as i64, slots), gks)?;
+    let r2 = ev.rotate_hoisted(sa, norm_shift(k as i64 - d as i64, slots), gks)?;
     let p2 = ev.encode_for_mul(&tile(&wrap, slots), level)?;
     let t2 = ev.mul_plain(&r2, &p2)?;
     let s = ev.add(&t1, &t2)?;
@@ -320,9 +322,12 @@ pub fn ct_matmul(
         let sa0 = ev.mod_switch_to(&sa, target)?;
         let tb0 = ev.mod_switch_to(&tb, target)?;
         let mut acc = ev.mul(&sa0, &tb0)?;
+        // All 2(d−1) φ rotations act on σ(A) and all d−1 ψ rotations on
+        // τ(B): two decompositions serve the whole loop.
+        let (sa_digits, tb_digits) = (ev.hoist(&sa)?, ev.hoist(&tb)?);
         for k in 1..d {
-            let phi = phi_shift(ev, &sa, k, d, gks)?;
-            let psi = ev.rotate(&tb, norm_shift((k * d) as i64, slots), gks)?;
+            let phi = phi_shift(ev, &sa_digits, k, d, gks)?;
+            let psi = ev.rotate_hoisted(&tb_digits, norm_shift((k * d) as i64, slots), gks)?;
             let psi = ev.mod_switch_to(&psi, target)?;
             let term = ev.mul(&phi, &psi)?;
             acc = ev.add(&acc, &term)?;

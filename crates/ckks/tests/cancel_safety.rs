@@ -5,10 +5,10 @@
 //! (see the `# Cancellation` note on `Evaluator`), so a cancelled call
 //! performs no work and cannot poison pooled state. These tests prove
 //! that property end to end: cancel a mul → relinearize → rescale →
-//! rotate → conjugate chain at every op boundary, then rerun the full
-//! chain on the *same* evaluator and require bit-identical results to
-//! a fresh evaluator — under both the serial and the multithreaded
-//! schedule.
+//! rotate → conjugate → hoist + hoisted-rotate chain at every op
+//! boundary, then rerun the full chain on the *same* evaluator and
+//! require bit-identical results to a fresh evaluator — under both the
+//! serial and the multithreaded schedule.
 
 use fxhenn_ckks::{
     Ciphertext, CkksContext, CkksParams, Encryptor, EvalError, Evaluator, GaloisKeys,
@@ -51,7 +51,7 @@ fn rig(n: usize, levels: usize, seed: u64) -> Rig {
     }
 }
 
-const CHAIN_LEN: usize = 5;
+const CHAIN_LEN: usize = 6;
 
 /// Runs op `i` of the linear chain, appending its output: each step
 /// consumes the previous step's ciphertext, so cancelling step `k`
@@ -68,6 +68,12 @@ fn run_step(
         2 => ev.rescale(&outs[1])?,
         3 => ev.rotate(&outs[2], 1, &r.gks)?,
         4 => ev.conjugate(&outs[3], &r.cjk)?,
+        // A stop here lands on `hoist`'s own gate: it takes scratch
+        // like an op although it books none.
+        5 => {
+            let digits = ev.hoist(&outs[2])?;
+            ev.rotate_hoisted(&digits, 1, &r.gks)?
+        }
         _ => unreachable!("chain has {CHAIN_LEN} ops"),
     };
     outs.push(next);

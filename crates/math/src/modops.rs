@@ -180,10 +180,32 @@ impl BarrettReducer {
         self.reduce_u128(a as u128 * b as u128)
     }
 
-    /// Reduces an arbitrary `u64` modulo `q`.
+    /// Reduces an arbitrary `u64` modulo `q` with the single-word
+    /// Barrett form: one high multiply by `floor(2^64 / q)` (the top
+    /// word of `mu`) and a correction. The quotient estimate is at most
+    /// one short for odd `q`, so the loop runs at most once.
     #[inline]
     pub fn reduce_u64(&self, x: u64) -> u64 {
-        self.reduce_u128(x as u128)
+        let mu_hi = (self.mu >> 64) as u64;
+        let q_est = ((x as u128 * mu_hi as u128) >> 64) as u64;
+        let mut r = x.wrapping_sub(q_est.wrapping_mul(self.q));
+        while r >= self.q {
+            r -= self.q;
+        }
+        r
+    }
+}
+
+/// Reduces `x < 2q` into `[0, q)` with one conditional subtraction —
+/// the whole cost of lifting a residue between two primes of the same
+/// width.
+#[inline]
+pub fn reduce_below_2q(x: u64, q: u64) -> u64 {
+    debug_assert!(x < 2 * q);
+    if x >= q {
+        x - q
+    } else {
+        x
     }
 }
 
@@ -439,6 +461,30 @@ mod tests {
         assert_eq!(red.reduce_u64(u64::MAX), u64::MAX % Q);
         assert_eq!(red.reduce_u64(Q), 0);
         assert_eq!(red.reduce_u64(Q - 1), Q - 1);
+    }
+
+    #[test]
+    fn single_word_reductions_match_remainder_at_the_edges() {
+        for bits in [30u32, 45, 61] {
+            let q = crate::prime::generate_ntt_primes(bits, 1024, 1)[0];
+            let red = BarrettReducer::new(q);
+            for x in [
+                0,
+                1,
+                q - 1,
+                q,
+                q + 1,
+                2 * q - 1,
+                2 * q,
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
+                assert_eq!(red.reduce_u64(x), x % q, "reduce_u64({x}) mod {q}");
+            }
+            for x in [0, 1, q - 1, q, 2 * q - 1] {
+                assert_eq!(reduce_below_2q(x, q), x % q, "reduce_below_2q({x}) mod {q}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! evaluator can reuse scratch buffers instead of cloning on every op.
 
 use crate::modops::{
-    add_mod, add_mod_x4, neg_mod, neg_mod_x4, sub_mod, sub_mod_x4, BarrettReducer, ShoupMul, LANES,
+    add_mod, add_mod_x4, neg_mod, neg_mod_x4, reduce_below_2q, sub_mod, sub_mod_x4, BarrettReducer,
+    ShoupMul, LANES,
 };
 use crate::ntt::NttTable;
 use crate::par;
@@ -277,6 +278,178 @@ pub fn mul_pointwise_of<A: PolyLimbs + ?Sized, B: PolyLimbs + ?Sized>(
             |_, x, y| red.mul(x, y),
         );
     });
+}
+
+/// Lifts one residue limb into another prime: `out[k] = src[k] mod q_t`
+/// for `src[k] ∈ [0, q_src)`, by the cheapest exact form — a copy when
+/// `q_src ≤ q_t`, one conditional subtraction when `q_src < 2·q_t`,
+/// single-word Barrett otherwise.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn lift_limb(src: &[u64], q_src: u64, target: &BarrettReducer, out: &mut [u64]) {
+    assert_eq!(src.len(), out.len(), "limb length mismatch");
+    let q_t = target.modulus();
+    if q_src <= q_t {
+        out.copy_from_slice(src);
+    } else if q_src < 2 * q_t {
+        for (o, &c) in out.iter_mut().zip(src) {
+            *o = reduce_below_2q(c, q_t);
+        }
+    } else {
+        for (o, &c) in out.iter_mut().zip(src) {
+            *o = target.reduce_u64(c);
+        }
+    }
+}
+
+/// Centred variant of [`lift_limb`]: `src[k] ∈ [0, q_src)` is read as
+/// its representative in `(−q_src/2, q_src/2]` and `out[k]` is that
+/// signed value's canonical residue modulo `q_t` — what an exact RNS
+/// division subtracts so its rounding error stays within ±1/2.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn lift_limb_centered(src: &[u64], q_src: u64, target: &BarrettReducer, out: &mut [u64]) {
+    assert_eq!(src.len(), out.len(), "limb length mismatch");
+    let q_t = target.modulus();
+    let half = q_src / 2;
+    // |centred value| ≤ half, so it is already reduced when half < q_t.
+    let small = half < q_t;
+    for (o, &c) in out.iter_mut().zip(src) {
+        let negative = c > half;
+        let magnitude = if negative { q_src - c } else { c };
+        let r = if small {
+            magnitude
+        } else {
+            target.reduce_u64(magnitude)
+        };
+        *o = if negative && r != 0 { q_t - r } else { r };
+    }
+}
+
+/// `r[k] = (x[k] − r[k])·inv mod q`: the slot-wise tail of an exact
+/// division in the evaluation domain (`r` arrives holding the forward
+/// transform of the removed limb's centred residue).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn sub_from_and_scale(r: &mut [u64], x: &[u64], inv: &ShoupMul, q: u64) {
+    assert_eq!(r.len(), x.len(), "limb length mismatch");
+    zip_lanes(
+        r,
+        x,
+        |r4, x4| inv.mul_x4(sub_mod_x4(x4, r4, q)),
+        |r1, x1| inv.mul(sub_mod(x1, r1, q)),
+    );
+}
+
+/// Slots per block of [`dot2_lazy`]: both `u128` accumulator blocks
+/// (8 KiB together) stay in L1 while the terms stream past.
+const DOT_BLOCK: usize = 256;
+
+/// One term of [`dot2_lazy`] over one block: `acc0 += d·k0`, `acc1 += d·k1`.
+#[inline]
+fn mac2_block(
+    acc0: &mut [u128],
+    acc1: &mut [u128],
+    digits: impl Iterator<Item = u64>,
+    k0: &[u64],
+    k1: &[u64],
+) {
+    for ((x0, x1), (d, (&k0, &k1))) in acc0
+        .iter_mut()
+        .zip(acc1.iter_mut())
+        .zip(digits.zip(k0.iter().zip(k1)))
+    {
+        let d = u128::from(d);
+        *x0 += d * u128::from(k0);
+        *x1 += d * u128::from(k1);
+    }
+}
+
+/// The key-switch inner products against both key halves at once:
+/// `out0[k] = Σ_j a_j[π(k)]·b0_j[k]` and `out1[k] = Σ_j a_j[π(k)]·b1_j[k]`
+/// modulo `q`, where `π` is `perm` (the identity when `None`) and every
+/// input word is reduced below `q`.
+///
+/// Products accumulate unreduced in `u128` and each slot pays **one**
+/// Barrett reduction per output; an accumulator is folded back below
+/// `q` just before `count·(q−1)²` could overflow, so any term count is
+/// safe at any supported modulus. The result is the canonical residue
+/// of the exact sum — bit-identical to an eager multiply-reduce-add
+/// loop.
+///
+/// # Panics
+///
+/// Panics unless `a`, `b0`, `b1` have equal term counts and every
+/// slice (and `perm`, if given) has the outputs' length, or if a
+/// permutation entry is out of range.
+pub fn dot2_lazy(
+    a: &[&[u64]],
+    perm: Option<&[u32]>,
+    b0: &[&[u64]],
+    b1: &[&[u64]],
+    red: &BarrettReducer,
+    out0: &mut [u64],
+    out1: &mut [u64],
+) {
+    let n = out0.len();
+    assert_eq!(out1.len(), n, "output length mismatch");
+    assert!(
+        a.len() == b0.len() && a.len() == b1.len(),
+        "one key term per digit"
+    );
+    assert!(
+        a.iter().chain(b0).chain(b1).all(|s| s.len() == n),
+        "term length mismatch"
+    );
+    assert!(
+        perm.is_none_or(|p| p.len() == n),
+        "permutation length mismatch"
+    );
+    // Terms an accumulator can absorb before it must be folded: at least
+    // 16 for any modulus below 2^62.
+    let qm1 = u128::from(red.modulus() - 1);
+    let cap = usize::try_from(u128::MAX / (qm1 * qm1)).unwrap_or(usize::MAX);
+
+    let mut acc0 = [0u128; DOT_BLOCK];
+    let mut acc1 = [0u128; DOT_BLOCK];
+    for base in (0..n).step_by(DOT_BLOCK) {
+        let block = base..n.min(base + DOT_BLOCK);
+        let (acc0, acc1) = (&mut acc0[..block.len()], &mut acc1[..block.len()]);
+        acc0.fill(0);
+        acc1.fill(0);
+        let mut pending = 0usize;
+        for ((aj, k0), k1) in a.iter().zip(b0).zip(b1) {
+            if pending == cap {
+                for x in acc0.iter_mut().chain(acc1.iter_mut()) {
+                    *x = u128::from(red.reduce_u128(*x));
+                }
+                pending = 1;
+            }
+            pending += 1;
+            let (k0, k1) = (&k0[block.clone()], &k1[block.clone()]);
+            match perm {
+                None => mac2_block(acc0, acc1, aj[block.clone()].iter().copied(), k0, k1),
+                Some(p) => {
+                    let gathered = p[block.clone()].iter().map(|&i| aj[i as usize]);
+                    mac2_block(acc0, acc1, gathered, k0, k1);
+                }
+            }
+        }
+        for ((o0, o1), (x0, x1)) in out0[block.clone()]
+            .iter_mut()
+            .zip(&mut out1[block])
+            .zip(acc0.iter().zip(acc1.iter()))
+        {
+            *o0 = red.reduce_u128(*x0);
+            *o1 = red.reduce_u128(*x1);
+        }
+    }
 }
 
 impl std::fmt::Display for Domain {
@@ -579,10 +752,12 @@ impl RnsPoly {
     }
 
     /// Fused multiply-accumulate against a component *selection* of `b`:
-    /// `self[i] += a[i] * b[b_indices[i]]` pointwise. This is what the
-    /// keyswitch inner product needs (the key polynomial lives in the full
-    /// `max_level + special` basis and is addressed through the extended
-    /// index list), and it avoids materialising `b.select_components()`.
+    /// `self[i] += a[i] * b[b_indices[i]]` pointwise — the key-switch
+    /// inner product one eagerly reduced term at a time (the key
+    /// polynomial lives in the full `max_level + special` basis and is
+    /// addressed through the extended index list). The evaluator runs
+    /// [`dot2_lazy`] instead; this is the reference form its oracle test
+    /// accumulates with.
     ///
     /// # Panics
     ///
@@ -725,6 +900,53 @@ impl RnsPoly {
                 } else {
                     dst[e - n] = neg_mod(c, q);
                 }
+            }
+        });
+    }
+
+    /// `out[i][k] = self[i][perm[k]]` for every limb, buffers reused.
+    /// With `perm` a Galois element's evaluation-point permutation this
+    /// *is* the automorphism of an NTT-domain polynomial — no transform,
+    /// no sign flips (the evaluator's path; [`automorphism_into`] is the
+    /// coefficient-domain form).
+    ///
+    /// [`automorphism_into`]: RnsPoly::automorphism_into
+    ///
+    /// # Panics
+    ///
+    /// Panics if `perm` is not `N` entries long or an entry is out of
+    /// range.
+    pub fn gather_into(&self, perm: &[u32], out: &mut RnsPoly) {
+        assert_eq!(perm.len(), self.n, "one source index per slot");
+        out.reshape(self.n, self.residues.len(), self.domain);
+        par::for_each_indexed(&mut out.residues, par::grain_linear(self.n), |i, dst| {
+            let src = &self.residues[i];
+            for (d, &k) in dst.iter_mut().zip(perm) {
+                *d = src[k as usize];
+            }
+        });
+    }
+
+    /// `self[i][k] += other[i][perm[k]]`: [`RnsPoly::gather_into`] fused
+    /// with the addition that follows it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape or domain mismatch, or as
+    /// [`RnsPoly::gather_into`] does.
+    pub fn add_assign_gather<P: PolyLimbs + ?Sized>(
+        &mut self,
+        other: &P,
+        perm: &[u32],
+        moduli: &[u64],
+    ) {
+        self.assert_compatible(other);
+        assert_eq!(moduli.len(), self.residues.len(), "one modulus per level");
+        assert_eq!(perm.len(), self.n, "one source index per slot");
+        par::for_each_indexed(&mut self.residues, par::grain_linear(self.n), |i, a| {
+            let (q, src) = (moduli[i], other.limb(i));
+            for (x, &k) in a.iter_mut().zip(perm) {
+                *x = add_mod(*x, src[k as usize], q);
             }
         });
     }
@@ -956,6 +1178,130 @@ mod tests {
 
         acc.add_mul_pointwise_select(&a, &key, &indices, b.moduli());
         assert_eq!(acc, expected);
+    }
+
+    #[test]
+    fn lazy_dot_folds_before_overflow_and_matches_eager_mac() {
+        // 62-bit modulus: an accumulator holds only 16 products, so 100
+        // terms force several folds; the gathered variant reads `a`
+        // through a reversal.
+        let q = 4611686018427387847u64;
+        let red = BarrettReducer::new(q);
+        let (n, terms) = (DOT_BLOCK + 40, 100);
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut draw = |edge: u64| -> Vec<Vec<u64>> {
+            (0..terms)
+                .map(|_| {
+                    (0..n)
+                        .map(|k| {
+                            if k % 7 == 0 {
+                                edge
+                            } else {
+                                rng.gen_range(0..q)
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let (a, b0, b1) = (draw(q - 1), draw(q - 1), draw(0));
+        let perm: Vec<u32> = (0..n as u32).rev().collect();
+        fn refs(v: &[Vec<u64>]) -> Vec<&[u64]> {
+            v.iter().map(Vec::as_slice).collect()
+        }
+        for perm in [None, Some(&perm[..])] {
+            let (mut out0, mut out1) = (vec![0u64; n], vec![0u64; n]);
+            dot2_lazy(
+                &refs(&a),
+                perm,
+                &refs(&b0),
+                &refs(&b1),
+                &red,
+                &mut out0,
+                &mut out1,
+            );
+            for k in 0..n {
+                let src = perm.map_or(k, |p| p[k] as usize);
+                let eager = |b: &[Vec<u64>]| {
+                    (0..terms).fold(0, |acc, j| add_mod(acc, red.mul(a[j][src], b[j][k]), q))
+                };
+                assert_eq!((out0[k], out1[k]), (eager(&b0), eager(&b1)), "slot {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn limb_lifts_match_remainder_in_every_width_relation() {
+        let primes = |bits| generate_ntt_primes(bits, 64, 2);
+        let (p30, p45) = (primes(30), primes(45));
+        // (source, target): copy, conditional subtract, Barrett.
+        for (q_src, q_t) in [
+            (p30[0], p45[0]),
+            (p30[1], p30[0]),
+            (p30[0], p30[1]),
+            (p45[0], p30[0]),
+        ] {
+            let red = BarrettReducer::new(q_t);
+            let src = [
+                0,
+                1,
+                q_src / 2,
+                q_src / 2 + 1,
+                q_t.min(q_src - 1),
+                q_src - 1,
+            ];
+            let (mut plain, mut centred) = ([0u64; 6], [0u64; 6]);
+            lift_limb(&src, q_src, &red, &mut plain);
+            lift_limb_centered(&src, q_src, &red, &mut centred);
+            for (k, &c) in src.iter().enumerate() {
+                assert_eq!(plain[k], c % q_t, "{c} mod {q_t}");
+                let signed = if c > q_src / 2 {
+                    c as i128 - q_src as i128
+                } else {
+                    c as i128
+                };
+                assert_eq!(
+                    centred[k] as i128,
+                    signed.rem_euclid(q_t as i128),
+                    "centred {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sub_from_and_scale_matches_scalar_ops() {
+        let q = generate_ntt_primes(30, 64, 1)[0];
+        let inv = ShoupMul::new(12345, q);
+        let x: Vec<u64> = (0..9).map(|k| (k * 0x9E37_79B9) % q).collect();
+        let mut r: Vec<u64> = (0..9).map(|k| (q - 1 - k * 77) % q).collect();
+        let want: Vec<u64> = x
+            .iter()
+            .zip(&r)
+            .map(|(&x, &r)| inv.mul(sub_mod(x, r, q)))
+            .collect();
+        sub_from_and_scale(&mut r, &x, &inv, q);
+        assert_eq!(r, want);
+    }
+
+    #[test]
+    fn gather_kernels_permute_every_limb() {
+        let b = basis(16, 2);
+        let mut rng = StdRng::seed_from_u64(17);
+        let p = random_poly(&b, &mut rng);
+        let perm: Vec<u32> = (0..16u32).map(|k| (5 * k + 3) % 16).collect();
+        let mut out = RnsPoly::zero(8, 1, Domain::Ntt); // stale shape
+        p.gather_into(&perm, &mut out);
+        for i in 0..2 {
+            for (o, &k) in out.component(i).iter().zip(&perm) {
+                assert_eq!(*o, p.component(i)[k as usize]);
+            }
+        }
+        let mut sum = p.clone();
+        sum.add_assign_gather(&p, &perm, b.moduli());
+        let mut want = p.clone();
+        want.add_assign(&out, b.moduli());
+        assert_eq!(sum, want);
     }
 
     #[test]

@@ -14,13 +14,20 @@ use rand::Rng;
 pub const STANDARD_SIGMA: f64 = 3.2;
 
 /// Samples a polynomial with residues uniform in `[0, q_i)` for every
-/// prime, in the coefficient domain.
-pub fn sample_uniform<R: Rng + ?Sized>(n: usize, moduli: &[u64], rng: &mut R) -> RnsPoly {
+/// prime, declared to live in `domain`: the NTT is a bijection, so a
+/// uniform polynomial is uniform in either domain and a caller that
+/// needs evaluation form samples it there instead of transforming.
+pub fn sample_uniform<R: Rng + ?Sized>(
+    n: usize,
+    moduli: &[u64],
+    domain: Domain,
+    rng: &mut R,
+) -> RnsPoly {
     let residues = moduli
         .iter()
         .map(|&q| (0..n).map(|_| rng.gen_range(0..q)).collect())
         .collect();
-    RnsPoly::from_residues(residues, Domain::Coeff)
+    RnsPoly::from_residues(residues, domain)
 }
 
 /// Samples small signed coefficients uniformly from `{-1, 0, 1}`.
@@ -71,7 +78,7 @@ mod tests {
     fn uniform_sample_in_range_and_varied() {
         let moduli = generate_ntt_primes(30, 64, 2);
         let mut rng = StdRng::seed_from_u64(1);
-        let p = sample_uniform(64, &moduli, &mut rng);
+        let p = sample_uniform(64, &moduli, Domain::Coeff, &mut rng);
         assert_eq!(p.level_count(), 2);
         for (i, &q) in moduli.iter().enumerate() {
             assert!(p.component(i).iter().all(|&x| x < q));
