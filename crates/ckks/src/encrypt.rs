@@ -54,11 +54,8 @@ impl<'a, R: Rng> Encryptor<'a, R> {
     /// Panics if more than `N/2` values are supplied or the scale is not
     /// positive.
     pub fn encrypt_at(&mut self, values: &[f64], scale: f64) -> Ciphertext {
-        let l = self.ctx.max_level();
-        let moduli = self.ctx.moduli_at(l);
-        let tables = self.ctx.tables_at(l);
-        let mut m = self.ctx.encoder().encode_rns(values, scale, moduli);
-        m.to_ntt(&tables);
+        let moduli = self.ctx.moduli_at(self.ctx.max_level());
+        let m = self.ctx.encoder().encode_rns(values, scale, moduli);
         self.encrypt_poly(m, scale)
             .with_noise(fresh_public_std(self.ctx.degree()), value_bound(values))
     }
@@ -79,7 +76,11 @@ impl<'a, R: Rng> Encryptor<'a, R> {
             .with_noise(fresh_public_std(self.ctx.degree()), pt.value_bound())
     }
 
-    fn encrypt_poly(&mut self, m: RnsPoly, scale: f64) -> Ciphertext {
+    /// `(b·u + e0 + m, a·u + e1)` for a message in either domain. A
+    /// coefficient-domain message takes `e0` before its one forward
+    /// transform — the transform is linear, so the ciphertext is the
+    /// same bit for bit and `e0` needs no transform of its own.
+    fn encrypt_poly(&mut self, mut m: RnsPoly, scale: f64) -> Ciphertext {
         let ctx = self.ctx;
         let l = ctx.max_level();
         let moduli = ctx.moduli_at(l);
@@ -89,13 +90,16 @@ impl<'a, R: Rng> Encryptor<'a, R> {
         let mut u = small_to_rns(&sample_ternary(n, &mut self.rng), moduli);
         u.to_ntt(&tables);
         let mut e0 = small_to_rns(&sample_gaussian(n, STANDARD_SIGMA, &mut self.rng), moduli);
-        e0.to_ntt(&tables);
+        if m.domain() == Domain::Ntt {
+            e0.to_ntt(&tables);
+        }
         let mut e1 = small_to_rns(&sample_gaussian(n, STANDARD_SIGMA, &mut self.rng), moduli);
         e1.to_ntt(&tables);
 
+        m.add_assign(&e0, moduli);
+        m.to_ntt(&tables);
         let mut c0 = self.pk.b.clone();
         c0.mul_pointwise_assign(&u, moduli);
-        c0.add_assign(&e0, moduli);
         c0.add_assign(&m, moduli);
 
         let mut c1 = self.pk.a.clone();
@@ -283,6 +287,24 @@ mod tests {
         for (i, (&x, &y)) in values.iter().zip(&out).enumerate() {
             assert!((x - y).abs() < 1e-3, "slot {i}: {x} vs {y}");
         }
+    }
+
+    #[test]
+    fn error_merged_before_the_transform_gives_the_same_ciphertext() {
+        // `encrypt_at` adds e0 to a coefficient-domain message and
+        // transforms once; `encrypt_plaintext` receives an NTT-domain
+        // message and transforms e0 on its own. Same stream, same bits.
+        let (ctx, pk, _sk) = setup();
+        let values = [0.5, -1.25, 3.0];
+        let scale = ctx.params().scale();
+        let merged = Encryptor::new(&ctx, pk.clone(), StdRng::seed_from_u64(19))
+            .encrypt_at(&values, scale);
+        let pt = crate::eval::Evaluator::new(&ctx)
+            .encode_at(&values, scale, ctx.max_level())
+            .expect("encodes");
+        let separate =
+            Encryptor::new(&ctx, pk, StdRng::seed_from_u64(19)).encrypt_plaintext(&pt);
+        assert_eq!(merged.polys(), separate.polys());
     }
 
     #[test]

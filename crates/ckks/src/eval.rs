@@ -391,6 +391,7 @@ impl<'a> Evaluator<'a> {
         if let Some(index) = values.iter().position(|v| !v.is_finite()) {
             return Err(EvalError::NonFiniteValue { index });
         }
+        he_metrics().plain_encodes.inc();
         let moduli = self.ctx.moduli_at(level);
         let tables = self.ctx.tables_at(level);
         let bound = values.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
@@ -1009,6 +1010,7 @@ impl<'a> Evaluator<'a> {
     fn digit_sources(&mut self, d: &RnsPoly, l: usize) -> RnsPoly {
         assert_eq!(d.domain(), Domain::Ntt, "key switch input in NTT domain");
         assert_eq!(d.level_count(), l, "key switch input level mismatch");
+        he_metrics().decompositions.inc();
         let ctx = self.ctx;
         let mut src = self.take_scratch();
         src.copy_from(d);

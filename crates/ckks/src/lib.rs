@@ -61,6 +61,7 @@ pub use encoding::CkksEncoder;
 pub use encrypt::{Decryptor, Encryptor, SymmetricEncryptor};
 pub use error::EvalError;
 pub use eval::{EvalOps, Evaluator, HoistedDigits};
+pub use linalg::{LinearSchedule, LinearTransform};
 pub use matmul::{
     ct_matmul, decode_block, encode_block, matmul_reference, required_rotations, MATMUL_DEPTH,
 };

@@ -1,16 +1,14 @@
 //! Higher-level homomorphic linear algebra built on the evaluator:
-//! slot sums, plaintext inner products, and the Halevi–Shoup diagonal
-//! matrix–vector product.
-//!
-//! The FxHENN networks use LoLa's row-major packing (see `fxhenn-nn`),
-//! but the diagonal method is the other classic way to evaluate
-//! `y = W·x` under CKKS — `d` rotations for a `d×d` matrix, no masking —
-//! and is provided here both as library functionality and as a reference
-//! point for packing-strategy comparisons.
+//! slot sums, plaintext inner products, and [`LinearTransform`] — the
+//! one baby-step/giant-step evaluator of plaintext diagonals behind the
+//! Halevi–Shoup matrix–vector product here and the dense layers of
+//! `fxhenn-nn`'s optimized lowering (DESIGN.md §16).
 
-use crate::cipher::Ciphertext;
+use crate::cipher::{Ciphertext, Plaintext};
+use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::GaloisKeys;
+use crate::trace::{HeOpKind, OpTrace};
 
 /// Sums the first `count` slots of a ciphertext into slot 0 (and every
 /// slot `j` receives the sum of slots `j..j+p` cyclically, where `p` is
@@ -70,10 +68,287 @@ pub fn inner_product_plain(
     sum_slots(ev, &scaled, weights.len(), gks)
 }
 
+/// The rotation schedule of a baby-step/giant-step plaintext linear
+/// transform `y = Σ_i D_i ⊙ rot(x, i)` over the diagonals
+/// `i = g·stride + b`, `b < babies`, `g < giants`, followed by
+/// rotate-and-add folds. It holds no weights, so the analytic lowering
+/// can price a transform ([`record`](Self::record)) and list its keys
+/// ([`rotation_steps`](Self::rotation_steps)) without encoding one.
+///
+/// Baby rotations `rot(x, b)` are composed from power-of-two hops
+/// (`b` from `b − lowbit(b)`), so every step a schedule needs is a
+/// power of two below `babies`, `stride`, or a fold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinearSchedule {
+    /// Baby steps: the input is rotated by `0..babies` (a power of two).
+    pub babies: usize,
+    /// Giant-step groups, combined Horner-style.
+    pub giants: usize,
+    /// Left rotation between consecutive giant-step groups.
+    pub stride: usize,
+    /// Rotate-and-add shifts applied to the sum, before the rescale.
+    pub folds: Vec<usize>,
+}
+
+impl LinearSchedule {
+    /// `diagonals` consecutive diagonals (a power of two) split so the
+    /// giant stride is the baby count; babies get the larger half of an
+    /// odd split because they share hoisted digits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diagonals` is not a power of two.
+    pub fn bsgs(diagonals: usize, folds: Vec<usize>) -> Self {
+        assert!(diagonals.is_power_of_two(), "diagonal count must be a power of two");
+        let babies = 1usize << diagonals.trailing_zeros().div_ceil(2);
+        Self {
+            babies,
+            giants: diagonals / babies,
+            stride: babies,
+            folds,
+        }
+    }
+
+    /// `groups` unrotated products packed `stride` slots apart:
+    /// `y = Σ_g rot(D_g ⊙ x, g·stride)`.
+    pub fn packed(groups: usize, stride: usize, folds: Vec<usize>) -> Self {
+        Self {
+            babies: 1,
+            giants: groups,
+            stride,
+            folds,
+        }
+    }
+
+    /// Number of plaintext diagonals.
+    pub fn term_count(&self) -> usize {
+        self.babies * self.giants
+    }
+
+    /// Baby `b`'s parent and the power-of-two hop that reaches it.
+    fn hop(b: usize) -> (usize, usize) {
+        let low = b & b.wrapping_neg();
+        (b - low, low)
+    }
+
+    /// The babies reached from `parent` by one hop, ascending.
+    fn children(&self, parent: usize) -> impl Iterator<Item = usize> + '_ {
+        (1..self.babies).filter(move |&b| Self::hop(b).0 == parent)
+    }
+
+    /// Distinct left-rotation steps this schedule needs Galois keys for.
+    pub fn rotation_steps(&self) -> Vec<usize> {
+        let hops = (0..self.babies.trailing_zeros()).map(|t| 1usize << t);
+        let giant = (self.giants > 1).then_some(self.stride);
+        let mut steps: Vec<usize> = hops.chain(giant).chain(self.folds.iter().copied()).collect();
+        steps.sort_unstable();
+        steps.dedup();
+        steps
+    }
+
+    /// The plaintext map the schedule computes on slot vector `x` —
+    /// `fold(Σ D_{g,b} ⊙ rot(x, g·stride + b))` with `diagonal(g, b)` as
+    /// [`LinearTransform::new`] takes it: the reference encrypted
+    /// transforms (and the slot algebra of their callers) are tested
+    /// against.
+    pub fn apply_plain(
+        &self,
+        x: &[f64],
+        mut diagonal: impl FnMut(usize, usize) -> Vec<f64>,
+    ) -> Vec<f64> {
+        let slots = x.len();
+        let mut y = vec![0.0; slots];
+        for g in 0..self.giants {
+            for b in 0..self.babies {
+                let shift = g * self.stride + b;
+                for (j, d) in diagonal(g, b).into_iter().enumerate() {
+                    y[j] += d * x[(j + shift) % slots];
+                }
+            }
+        }
+        for &fold in &self.folds {
+            let before = y.clone();
+            for (j, out) in y.iter_mut().enumerate() {
+                *out += before[(j + fold) % slots];
+            }
+        }
+        y
+    }
+
+    /// Appends the operations [`LinearTransform::apply`] executes on an
+    /// input at `level`, in execution order.
+    pub fn record(&self, level: usize, trace: &mut OpTrace) {
+        trace.record_many(HeOpKind::Rotate, level, self.babies - 1);
+        for g in 0..self.giants {
+            trace.record(HeOpKind::PcMult, level);
+            for _ in 1..self.babies {
+                trace.record(HeOpKind::PcMult, level);
+                trace.record(HeOpKind::CcAdd, level);
+            }
+            if g > 0 {
+                trace.record(HeOpKind::Rotate, level);
+                trace.record(HeOpKind::CcAdd, level);
+            }
+        }
+        for _ in &self.folds {
+            trace.record(HeOpKind::Rotate, level);
+            trace.record(HeOpKind::CcAdd, level);
+        }
+        trace.record(HeOpKind::Rescale, level);
+    }
+}
+
+/// A plaintext linear transform with its diagonals encoded once, at a
+/// fixed level and at the scale of the prime its single rescale drops.
+///
+/// [`apply`](Self::apply) takes the baby rotations from hoisted digits
+/// of the input (children of one parent share one [`Evaluator::hoist`]),
+/// multiplies and sums each giant-step group at scale `Δ²`, chains the
+/// groups Horner-style — `acc = group_g + rot(acc, stride)`, one key —
+/// applies the folds and rescales once, last: every key switch after the
+/// multiplication adds its noise at scale `Δ²`, where the rescale divides
+/// it away. Diagonals are stored rotated right by `g·stride`, which is
+/// what lets the giant rotation act on the partial sums instead of on
+/// the input.
+#[derive(Debug)]
+pub struct LinearTransform {
+    schedule: LinearSchedule,
+    level: usize,
+    /// Encoded diagonals, giant-major: index `g·babies + b`.
+    terms: Vec<Plaintext>,
+}
+
+impl LinearTransform {
+    /// Encodes a transform for inputs at `level`. `diagonal(g, b)` is the
+    /// slot vector multiplying `rot(x, g·stride + b)`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `level` leaves no prime to rescale by, or as
+    /// [`Evaluator::encode_for_mul`] does on a diagonal.
+    pub fn new(
+        ev: &Evaluator<'_>,
+        schedule: LinearSchedule,
+        level: usize,
+        mut diagonal: impl FnMut(usize, usize) -> Vec<f64>,
+    ) -> Result<Self, EvalError> {
+        if level < 2 {
+            return Err(EvalError::LevelExhausted { have: level, need: 2 });
+        }
+        let slots = ev.context().degree() / 2;
+        let mut terms = Vec::with_capacity(schedule.term_count());
+        for g in 0..schedule.giants {
+            for b in 0..schedule.babies {
+                let mut values = diagonal(g, b);
+                if values.len() > slots {
+                    return Err(EvalError::TooManyValues {
+                        count: values.len(),
+                        slots,
+                    });
+                }
+                values.resize(slots, 0.0);
+                values.rotate_right(g * schedule.stride % slots);
+                terms.push(ev.encode_for_mul(&values, level)?);
+            }
+        }
+        Ok(Self {
+            schedule,
+            level,
+            terms,
+        })
+    }
+
+    /// The rotation schedule.
+    pub fn schedule(&self) -> &LinearSchedule {
+        &self.schedule
+    }
+
+    /// Evaluates the transform on `ct`, consuming one level.
+    ///
+    /// # Errors
+    ///
+    /// Fails — before any arithmetic — if `ct` is not at the encoded
+    /// level or a Galois key of the schedule is missing; otherwise as
+    /// the evaluator operations it is made of do.
+    pub fn apply(
+        &self,
+        ev: &mut Evaluator<'_>,
+        ct: &Ciphertext,
+        gks: &GaloisKeys,
+    ) -> Result<Ciphertext, EvalError> {
+        if ct.level() != self.level {
+            return Err(EvalError::LevelMismatch {
+                op: "LinearTransform",
+                left: ct.level(),
+                right: self.level,
+            });
+        }
+        let ctx = ev.context();
+        if let Some(steps) = self
+            .schedule
+            .rotation_steps()
+            .into_iter()
+            .find(|&s| gks.key(ctx.galois_exponent(s)).is_none())
+        {
+            return Err(EvalError::MissingGaloisKey { steps });
+        }
+
+        let sched = &self.schedule;
+        let mut babies: Vec<Option<Ciphertext>> = vec![None; sched.babies];
+        babies[0] = Some(ct.clone());
+        for parent in 0..sched.babies {
+            let children: Vec<usize> = sched.children(parent).collect();
+            let src = babies[parent].as_ref().expect("parents precede children");
+            let rotated: Vec<Ciphertext> = match children[..] {
+                [] => continue,
+                [child] => vec![ev.rotate(src, child - parent, gks)?],
+                _ => {
+                    let hoisted = ev.hoist(src)?;
+                    children
+                        .iter()
+                        .map(|&c| ev.rotate_hoisted(&hoisted, c - parent, gks))
+                        .collect::<Result<_, _>>()?
+                }
+            };
+            for (child, rot) in children.into_iter().zip(rotated) {
+                babies[child] = Some(rot);
+            }
+        }
+
+        let mut acc: Option<Ciphertext> = None;
+        for group in self.terms.chunks(sched.babies).rev() {
+            let mut inner: Option<Ciphertext> = None;
+            for (baby, term) in babies.iter().zip(group) {
+                let baby = baby.as_ref().expect("every baby was rotated above");
+                let prod = ev.mul_plain(baby, term)?;
+                inner = Some(match inner {
+                    None => prod,
+                    Some(sum) => ev.add(&sum, &prod)?,
+                });
+            }
+            let inner = inner.expect("babies >= 1");
+            acc = Some(match acc {
+                None => inner,
+                Some(later) => {
+                    let shifted = ev.rotate(&later, sched.stride, gks)?;
+                    ev.add(&inner, &shifted)?
+                }
+            });
+        }
+        let mut out = acc.expect("giants >= 1");
+        for &shift in &sched.folds {
+            let rot = ev.rotate(&out, shift, gks)?;
+            out = ev.add(&out, &rot)?;
+        }
+        ev.rescale(&out)
+    }
+}
+
 /// The rotation steps [`matvec_diagonal`] needs Galois keys for, given
-/// the (power-of-two padded) dimension.
+/// the (power-of-two padded) dimension; the replication rotation by
+/// `slots − dim` comes on top.
 pub fn diagonal_rotations(dim: usize) -> Vec<usize> {
-    (1..dim.next_power_of_two()).collect()
+    LinearSchedule::bsgs(dim.next_power_of_two(), Vec::new()).rotation_steps()
 }
 
 /// Halevi–Shoup diagonal matrix–vector product: computes `y = W·x` for a
@@ -81,8 +356,9 @@ pub fn diagonal_rotations(dim: usize) -> Vec<usize> {
 /// the ciphertext (zero elsewhere) and `y` landing in slots `0..dim`.
 ///
 /// `y_j = Σ_k diag_k[j] · x_{(j+k) mod dim}` where
-/// `diag_k[j] = W[j][(j+k) mod dim]`: one rotation + one plaintext
-/// multiplication per diagonal, one level consumed overall.
+/// `diag_k[j] = W[j][(j+k) mod dim]`, evaluated as one baby-step/
+/// giant-step [`LinearTransform`]: `O(√dim)` rotations, one level
+/// consumed overall.
 ///
 /// The dimension must be a power of two (the rotation group acts on
 /// power-of-two strides; pad the matrix with zeros otherwise), and
@@ -114,31 +390,17 @@ pub fn matvec_diagonal(
         .add(ct, &shifted_copy)
         .expect("rotation preserves level/scale");
 
-    // Every diagonal rotates the same doubled input: decompose it once.
-    let hoisted = ev.hoist(&doubled).expect("rotation output is linear");
-    let mut acc: Option<Ciphertext> = None;
-    for k in 0..dim {
+    let schedule = LinearSchedule::bsgs(dim, Vec::new());
+    let stride = schedule.stride;
+    let transform = LinearTransform::new(ev, schedule, doubled.level(), |g, b| {
         // diag_k[j] = W[j][(j+k) mod dim], nonzero only in slots 0..dim.
-        let mut diag = vec![0.0; dim];
-        for j in 0..dim {
-            diag[j] = matrix[j * dim + (j + k) % dim];
-        }
-        let rotated = ev
-            .rotate_hoisted(&hoisted, k, gks)
-            .expect("diagonal rotation key");
-        let pw = ev
-            .encode_for_mul(&diag, rotated.level())
-            .expect("diagonal fits the slot count");
-        let prod = ev
-            .mul_plain(&rotated, &pw)
-            .expect("encoded at the operand level");
-        acc = Some(match acc {
-            None => prod,
-            Some(a) => ev.add(&a, &prod).expect("uniform diagonal levels"),
-        });
-    }
-    ev.rescale(&acc.expect("dim >= 1"))
-        .expect("PCmult output is linear")
+        let k = g * stride + b;
+        (0..dim).map(|j| matrix[j * dim + (j + k) % dim]).collect()
+    })
+    .expect("diagonals fit the slot count");
+    transform
+        .apply(ev, &doubled, gks)
+        .expect("diagonal rotation keys")
 }
 
 #[cfg(test)]
@@ -255,7 +517,8 @@ mod tests {
 
     #[test]
     fn diagonal_rotation_requirements_are_minimal() {
-        assert_eq!(diagonal_rotations(8), vec![1, 2, 3, 4, 5, 6, 7]);
+        // 8 diagonals = 4 babies (hops 1, 2) x 2 giants (stride 4).
+        assert_eq!(diagonal_rotations(8), vec![1, 2, 4]);
         assert_eq!(diagonal_rotations(1), Vec::<usize>::new());
     }
 

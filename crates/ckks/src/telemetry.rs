@@ -27,6 +27,12 @@ pub type OpSpanLog = SpanLog<(HeOpKind, usize)>;
 pub(crate) struct HeMetrics {
     pub ops: [Arc<Counter>; HeOpKind::COUNT],
     pub latency: [Arc<Histogram>; HeOpKind::COUNT],
+    /// Key-switch digit decompositions: one per relinearize, rotate,
+    /// conjugate or `hoist` — a hoisted rotation adds none.
+    pub decompositions: Arc<Counter>,
+    /// Plaintexts encoded by the evaluator (`encode_at` and the helpers
+    /// over it); zero per request once a network's operands are cached.
+    pub plain_encodes: Arc<Counter>,
 }
 
 pub(crate) fn he_metrics() -> &'static HeMetrics {
@@ -36,6 +42,8 @@ pub(crate) fn he_metrics() -> &'static HeMetrics {
             .map(|k| global().counter(&format!("fxhenn_he_ops_total{{op=\"{k}\"}}"))),
         latency: HeOpKind::ALL
             .map(|k| global().histogram(&format!("fxhenn_he_op_latency_ns{{op=\"{k}\"}}"))),
+        decompositions: global().counter("fxhenn_ckks_decompositions_total"),
+        plain_encodes: global().counter("fxhenn_ckks_plain_encodes_total"),
     })
 }
 
@@ -44,6 +52,7 @@ pub(crate) fn he_metrics() -> &'static HeMetrics {
 /// families render (at zero) even before the first HE op runs.
 pub fn register_he_metrics() {
     let _ = he_metrics();
+    fxhenn_math::ntt::register_ntt_metrics();
 }
 
 /// Wire-path metric handles: byte volumes through encode/decode, the

@@ -615,7 +615,13 @@ fn run_infer(seed: u64, report: &str, noise_floor_bits: f64) -> Result<String, C
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(seed ^ 0x5eed));
     let input = try_encrypt_input(&net, &image, &mut enc, ctx.degree() / 2)
         .map_err(|e| err(e.to_string()))?;
-    let mut exec = HeCnnExecutor::new(&ctx, &rk, &gks);
+    // Measured against the modeled cycles of `prog`, so run its schedule.
+    let mut exec = HeCnnExecutor::with_profile(
+        &ctx,
+        &rk,
+        &gks,
+        fxhenn_nn::LoweringProfile::PaperFaithful,
+    );
     exec.set_noise_floor_bits(noise_floor_bits);
     exec.start_spans();
     exec.start_layer_spans();

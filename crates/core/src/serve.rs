@@ -1566,13 +1566,19 @@ impl ModelCache {
     }
 
     /// The combined content checksum of the model's key frames, or
-    /// `None` when absent.
+    /// `None` when absent: the sums stored in the frames' trailers, which
+    /// [`verify`](Self::verify) holds against the payloads.
     pub fn checksum_of(&self, model: &str) -> Option<u64> {
+        let stored = |frame: &FrameBytes| {
+            let bytes = frame.bytes();
+            let trailer = bytes.len().checked_sub(8).map(|at| &bytes[at..]);
+            trailer.map_or(0, |t| u64::from_le_bytes(t.try_into().expect("8-byte trailer")))
+        };
         let e = self.entries.get(model)?;
         Some(
-            fxhenn_ckks::content_checksum(e.public_frame.bytes())
-                ^ fxhenn_ckks::content_checksum(e.relin_frame.bytes()).rotate_left(1)
-                ^ fxhenn_ckks::content_checksum(e.galois_frame.bytes()).rotate_left(2),
+            stored(&e.public_frame)
+                ^ stored(&e.relin_frame).rotate_left(1)
+                ^ stored(&e.galois_frame).rotate_left(2),
         )
     }
 

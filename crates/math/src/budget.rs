@@ -218,15 +218,17 @@ impl Budget {
 
     /// True when a check would fail right now.
     pub fn is_exhausted(&self) -> bool {
-        self.exhaustion().is_some()
+        self.exhaustion(Instant::now()).is_some()
     }
 
-    fn exhaustion(&self) -> Option<StopCause> {
+    fn exhaustion(&self, now: Instant) -> Option<StopCause> {
         if self.token.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Some(StopCause::CancelRequested);
         }
         match self.deadline {
-            Some(d) if self.elapsed() >= d => Some(StopCause::DeadlineExpired { deadline: d }),
+            Some(d) if now.saturating_duration_since(self.started) >= d => {
+                Some(StopCause::DeadlineExpired { deadline: d })
+            }
             _ => None,
         }
     }
@@ -235,12 +237,25 @@ impl Budget {
     /// a typed [`BudgetStop`] naming `phase` and `progress` once the
     /// token fired or the deadline passed.
     pub fn check(&self, phase: &'static str, progress: Progress) -> Result<(), BudgetStop> {
-        match self.exhaustion() {
+        self.check_at(phase, progress, Instant::now())
+    }
+
+    /// [`check`](Self::check) against a caller-supplied clock: the
+    /// deadline is judged at `now`. A loop that models waiting — the
+    /// simulator's stalled station — advances `now` instead of sleeping,
+    /// so its deadline behaviour does not depend on the host's load.
+    pub fn check_at(
+        &self,
+        phase: &'static str,
+        progress: Progress,
+        now: Instant,
+    ) -> Result<(), BudgetStop> {
+        match self.exhaustion(now) {
             None => Ok(()),
             Some(cause) => Err(BudgetStop {
                 phase,
                 cause,
-                elapsed: self.elapsed(),
+                elapsed: now.saturating_duration_since(self.started),
                 progress,
             }),
         }
@@ -286,6 +301,15 @@ pub fn check(phase: &'static str, progress: Progress) -> Result<(), BudgetStop> 
     })
 }
 
+/// Checks the ambient budget at a caller-supplied `now` (see
+/// [`Budget::check_at`]).
+pub fn check_at(phase: &'static str, progress: Progress, now: Instant) -> Result<(), BudgetStop> {
+    AMBIENT.with(|b| match &*b.borrow() {
+        None => Ok(()),
+        Some(budget) => budget.check_at(phase, progress, now),
+    })
+}
+
 /// True when an ambient budget is installed and already exhausted.
 pub fn ambient_exhausted() -> bool {
     AMBIENT.with(|b| b.borrow().as_ref().is_some_and(Budget::is_exhausted))
@@ -312,6 +336,25 @@ mod tests {
         assert!(matches!(stop.cause, StopCause::DeadlineExpired { .. }));
         assert!(stop.to_string().contains("phase-x"), "{stop}");
         assert!(stop.to_string().contains("3/10"), "{stop}");
+    }
+
+    #[test]
+    fn check_at_judges_the_deadline_on_the_supplied_clock() {
+        let deadline = Duration::from_secs(3600);
+        let b = Budget::with_deadline(deadline);
+        let now = Instant::now();
+        assert!(b.check_at("x", Progress::done(0), now).is_ok());
+        let stop = b
+            .check_at("x", Progress::done(1), now + deadline)
+            .unwrap_err();
+        assert!(matches!(stop.cause, StopCause::DeadlineExpired { .. }));
+        assert!(stop.elapsed >= deadline, "elapsed is read off the same clock");
+        // The ambient form follows the installed budget.
+        with_budget(&b, || {
+            assert!(check_at("y", Progress::done(0), now).is_ok());
+            assert!(check_at("y", Progress::done(0), now + deadline).is_err());
+        });
+        assert!(check_at("y", Progress::done(0), now + deadline).is_ok());
     }
 
     #[test]

@@ -19,6 +19,31 @@
 use crate::error::MathError;
 use crate::modops::{add_mod, inv_mod, pow_mod, sub_mod, ShoupMul, LANES};
 use crate::prime::is_prime;
+use fxhenn_obs::{global, Counter};
+use std::sync::{Arc, OnceLock};
+
+/// Always-on counts of executed transforms, one per limb transformed:
+/// `fxhenn_math_ntt_forward_total` and `fxhenn_math_ntt_inverse_total`
+/// in the global collector. The NTT count is what an HE operation costs
+/// (DESIGN.md §15), and unlike a timing it does not move with the host.
+struct TransformCounters {
+    forward: Arc<Counter>,
+    inverse: Arc<Counter>,
+}
+
+fn transform_counters() -> &'static TransformCounters {
+    static COUNTERS: OnceLock<TransformCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| TransformCounters {
+        forward: global().counter("fxhenn_math_ntt_forward_total"),
+        inverse: global().counter("fxhenn_math_ntt_inverse_total"),
+    })
+}
+
+/// Registers the transform counters so they render (at zero) before the
+/// first transform runs.
+pub fn register_ntt_metrics() {
+    let _ = transform_counters();
+}
 
 /// Precomputed tables for the negacyclic NTT of a fixed `(N, q)` pair.
 #[derive(Debug, Clone)]
@@ -124,6 +149,7 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
+        transform_counters().forward.inc();
         let q = self.q;
         let two_q = 2 * q;
         let mut t = self.n;
@@ -183,6 +209,7 @@ impl NttTable {
     /// bit-for-bit in tests. Not used on the hot path.
     pub fn forward_scalar(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
+        transform_counters().forward.inc();
         let q = self.q;
         let two_q = 2 * q;
         let mut t = self.n;
@@ -228,6 +255,7 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
+        transform_counters().inverse.inc();
         let q = self.q;
         let two_q = 2 * q;
         let mut t = 1usize;
@@ -293,6 +321,7 @@ impl NttTable {
     /// [`NttTable::forward_scalar`]).
     pub fn inverse_scalar(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
+        transform_counters().inverse.inc();
         let q = self.q;
         let two_q = 2 * q;
         let mut t = 1usize;

@@ -55,6 +55,7 @@
 //! [`Parallelism::Serial`]), everything runs inline on the caller's
 //! thread and this module adds zero overhead.
 
+#[cfg(feature = "parallel")]
 use crate::budget;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

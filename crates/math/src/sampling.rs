@@ -6,7 +6,6 @@
 //! HomomorphicEncryption.org standard used by the parameter sets the paper
 //! adopts).
 
-use crate::modops::signed_to_mod;
 use crate::poly::{Domain, RnsPoly};
 use rand::Rng;
 
@@ -40,29 +39,47 @@ pub fn sample_ternary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
 pub fn sample_gaussian<R: Rng + ?Sized>(n: usize, sigma: f64, rng: &mut R) -> Vec<i64> {
     assert!(sigma > 0.0, "sigma must be positive");
     let bound = (6.0 * sigma).ceil() as i64;
-    (0..n)
-        .map(|_| {
-            // Box-Muller; rejection keeps the tail bounded for worst-case
-            // noise analysis.
-            loop {
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
-                let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                let v = (g * sigma).round() as i64;
-                if v.abs() <= bound {
-                    return v;
-                }
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        // Box-Muller yields two independent variates per pair of
+        // uniforms; both are used. Rejection keeps the tail bounded for
+        // worst-case noise analysis.
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen_range(0.0..1.0);
+        let radius = (-2.0 * u1.ln()).sqrt() * sigma;
+        let (sin, cos) = (2.0 * std::f64::consts::PI * u2).sin_cos();
+        for g in [radius * cos, radius * sin] {
+            let v = g.round() as i64;
+            if v.abs() <= bound && out.len() < n {
+                out.push(v);
             }
-        })
-        .collect()
+        }
+    }
+    out
 }
 
 /// Lifts small signed coefficients into an RNS polynomial (coefficient
-/// domain), reducing each value modulo every prime.
+/// domain): a non-negative value is its own residue and a negative one
+/// is `q − |v|`, with no division.
+///
+/// # Panics
+///
+/// Panics if a coefficient's magnitude reaches a modulus — the values
+/// are secrets and errors, orders of magnitude below any prime.
 pub fn small_to_rns(values: &[i64], moduli: &[u64]) -> RnsPoly {
+    let bound = values.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    assert!(
+        moduli.iter().all(|&q| bound < q),
+        "coefficient magnitude {bound} is not small against the moduli"
+    );
     let residues = moduli
         .iter()
-        .map(|&q| values.iter().map(|&v| signed_to_mod(v, q)).collect())
+        .map(|&q| {
+            values
+                .iter()
+                .map(|&v| if v >= 0 { v as u64 } else { q - v.unsigned_abs() })
+                .collect()
+        })
         .collect();
     RnsPoly::from_residues(residues, Domain::Coeff)
 }
@@ -70,6 +87,7 @@ pub fn small_to_rns(values: &[i64], moduli: &[u64]) -> RnsPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modops::signed_to_mod;
     use crate::prime::generate_ntt_primes;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -113,6 +131,20 @@ mod tests {
         );
         let bound = (6.0 * STANDARD_SIGMA).ceil() as i64;
         assert!(s.iter().all(|&v| v.abs() <= bound));
+    }
+
+    #[test]
+    fn gaussian_fills_odd_lengths_from_variate_pairs() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [0usize, 1, 2, 7] {
+            assert_eq!(sample_gaussian(n, STANDARD_SIGMA, &mut rng).len(), n);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not small against the moduli")]
+    fn small_to_rns_rejects_values_that_reach_a_modulus() {
+        small_to_rns(&[0, -17], &[97, 17]);
     }
 
     #[test]

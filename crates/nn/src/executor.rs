@@ -1,27 +1,33 @@
 //! Functional HE-CNN execution: runs a network homomorphically through
 //! `fxhenn-ckks`, using exactly the lowering decisions of
-//! [`crate::lowering`] (shared via [`plan_dense`]), so that the measured
-//! operation trace can be compared one-to-one against the analytic plan
-//! and the decrypted result against the plaintext network.
+//! [`crate::lowering`] (shared via [`plan_dense`] and [`plan_linear`]),
+//! so that the measured operation trace can be compared one-to-one
+//! against the analytic plan and the decrypted result against the
+//! plaintext network.
 //!
-//! Intended for functional verification at small ring degrees; paper-
-//! scale workloads are costed analytically and simulated by
-//! `fxhenn-sim`.
+//! An executor runs one [`LoweringProfile`]. `Optimized` (the default)
+//! is the fast path: plaintext operands come encoded from the network's
+//! [`PlaintextCache`](crate::PlaintextCache) and dense layers are single
+//! linear transforms on the executor's own evaluator. `PaperFaithful`
+//! executes the lowering the hardware model prices, operation for
+//! operation — the witness that the priced program computes the network.
 
 use crate::error::ExecError;
 use crate::layers::{Conv2d, Layer};
-use crate::lowering::{plan_dense, DensePlan, Layout};
+use crate::lowering::{plan_dense, plan_linear, DensePlan, Layout, LinearPlan, LoweringProfile};
 use crate::model::Network;
 use crate::packing::{conv_bias_vectors, conv_offset_pack, conv_offset_weights, CtLayout};
+use crate::plain_cache::LayerOperands;
 use crate::telemetry::{nn_metrics, LayerSpanLog};
 use crate::tensor::Tensor;
 use fxhenn_ckks::{
-    Ciphertext, Decryptor, Encryptor, EvalError, Evaluator, GaloisKeys, OpSpanLog, OpTrace,
-    RelinKey,
+    Ciphertext, Decryptor, Encryptor, EvalError, Evaluator, GaloisKeys, LinearTransform,
+    OpSpanLog, OpTrace, RelinKey,
 };
 use fxhenn_math::budget::{self, Budget, Progress};
 use fxhenn_math::par;
 use rand::Rng;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Levels a layer needs at entry: every layer type multiplies once and
@@ -113,6 +119,26 @@ pub struct HeCnnExecutor<'a> {
     rk: &'a RelinKey,
     gks: &'a GaloisKeys,
     layer_spans: Option<LayerSpanLog>,
+    profile: LoweringProfile,
+}
+
+/// A layer's slot in the network's operand cache (`None` when the
+/// profile encodes per request).
+type OperandSlot<'s> = Option<&'s OnceLock<LayerOperands>>;
+
+/// The slot's operands, encoded by `build` if this is the first run to
+/// reach the layer. Two first runs racing both encode; one result is kept.
+fn cached(
+    slot: &OnceLock<LayerOperands>,
+    build: impl FnOnce() -> Result<LayerOperands, EvalError>,
+) -> Result<&LayerOperands, EvalError> {
+    match slot.get() {
+        Some(operands) => Ok(operands),
+        None => {
+            let built = build()?;
+            Ok(slot.get_or_init(|| built))
+        }
+    }
 }
 
 struct RunState {
@@ -131,13 +157,26 @@ fn at_layer(layer: &str) -> impl Fn(EvalError) -> ExecError + '_ {
 }
 
 impl<'a> HeCnnExecutor<'a> {
-    /// Creates an executor over a context with the given evaluation keys.
+    /// Creates an executor of the [`LoweringProfile::Optimized`]
+    /// schedule over a context with the given evaluation keys.
     pub fn new(ctx: &'a fxhenn_ckks::CkksContext, rk: &'a RelinKey, gks: &'a GaloisKeys) -> Self {
+        Self::with_profile(ctx, rk, gks, LoweringProfile::Optimized)
+    }
+
+    /// Creates an executor of the given profile. Keys generated from
+    /// either profile's lowered program serve both.
+    pub fn with_profile(
+        ctx: &'a fxhenn_ckks::CkksContext,
+        rk: &'a RelinKey,
+        gks: &'a GaloisKeys,
+        profile: LoweringProfile,
+    ) -> Self {
         Self {
             ev: Evaluator::new(ctx),
             rk,
             gks,
             layer_spans: None,
+            profile,
         }
     }
 
@@ -210,8 +249,14 @@ impl<'a> HeCnnExecutor<'a> {
         let mut state: Option<RunState> = None;
         let mut shape = net.input_shape().to_vec();
         let total_layers = net.layers().len() as u64;
+        let operands = (self.profile == LoweringProfile::Optimized).then(|| {
+            let first = input.groups.first().and_then(|g| g.first());
+            net.plaintext_cache()
+                .for_run(self.ev.context(), first, net.layer_count())
+        });
 
         for (idx, (name, layer)) in net.layers().iter().enumerate() {
+            let slot: OperandSlot<'_> = operands.as_ref().map(|set| &set.layers[idx]);
             if idx == 0 && !matches!(layer, Layer::Conv(_)) {
                 return Err(ExecError::FirstLayerNotConv);
             }
@@ -226,7 +271,7 @@ impl<'a> HeCnnExecutor<'a> {
             };
             match layer {
                 Layer::Conv(conv) if idx == 0 => {
-                    let s = self.run_first_conv(name, conv, &shape, input, slots)?;
+                    let s = self.run_first_conv(name, conv, &shape, input, slots, slot)?;
                     shape = s.shape.clone();
                     state = Some(s);
                 }
@@ -240,9 +285,9 @@ impl<'a> HeCnnExecutor<'a> {
                         name,
                         st,
                         d_out,
-                        slots,
                         &|k, v| conv_dense_weight(&conv2, &in_shape, k, v),
                         &|k| conv2.bias[k / (oh * ow)],
+                        slot,
                     )?;
                     shape = vec![conv.out_channels, oh, ow];
                     state = Some(RunState { shape: shape.clone(), ..next });
@@ -265,9 +310,9 @@ impl<'a> HeCnnExecutor<'a> {
                         name,
                         st,
                         d.out_features,
-                        slots,
                         &|k, v| d2.weight(k, v),
                         &|k| d2.bias[k],
+                        slot,
                     )?;
                     shape = vec![d.out_features];
                     state = Some(RunState { shape: shape.clone(), ..next });
@@ -282,9 +327,9 @@ impl<'a> HeCnnExecutor<'a> {
                         name,
                         st,
                         d_out,
-                        slots,
                         &|k, v| p2.dense_weight(&in_shape, k, v),
                         &|_| 0.0,
+                        slot,
                     )?;
                     shape = vec![in_shape[0], oh, ow];
                     state = Some(RunState { shape: shape.clone(), ..next });
@@ -396,20 +441,20 @@ impl<'a> HeCnnExecutor<'a> {
         shape: &[usize],
         input: &EncryptedInput,
         slots: usize,
+        slot: OperandSlot<'_>,
     ) -> Result<RunState, ExecError> {
         let (oh, ow) = conv.output_size(shape[1], shape[2]);
         let positions = oh * ow;
-        let weights = conv_offset_weights(conv, positions, slots);
-        let biases = conv_bias_vectors(conv, positions, slots);
-        if input.groups.len() != weights.len() {
+        let maps_per_group = (slots / positions).min(conv.out_channels).max(1);
+        let groups = conv.out_channels.div_ceil(maps_per_group);
+        if input.groups.len() != groups {
             return Err(ExecError::PackingMismatch {
                 layer: name.to_string(),
                 what: "group count",
-                expected: weights.len(),
+                expected: groups,
                 got: input.groups.len(),
             });
         }
-
         for offsets in &input.groups {
             if offsets.len() != conv.offset_count() {
                 return Err(ExecError::PackingMismatch {
@@ -421,6 +466,42 @@ impl<'a> HeCnnExecutor<'a> {
             }
         }
 
+        let out = match slot {
+            Some(slot) => self.first_conv_summed(name, conv, positions, input, slots, slot)?,
+            None => self.first_conv_per_tap(name, conv, positions, input, slots)?,
+        };
+        self.check_budget(name, "PCmult", &out)?;
+
+        let n_values = conv.out_channels * positions;
+        let concrete = crate::packing::conv_output_layout(conv, positions, slots);
+        let abstract_layout = if out.len() == 1 {
+            Layout::SingleContig { n: n_values }
+        } else {
+            Layout::MultiContig {
+                n: n_values,
+                cts: out.len(),
+            }
+        };
+        Ok(RunState {
+            cts: out,
+            abstract_layout,
+            concrete,
+            shape: vec![conv.out_channels, oh, ow],
+        })
+    }
+
+    /// The `PaperFaithful` first convolution: every tap product is
+    /// rescaled on its own, as Listing 1 of the paper does.
+    fn first_conv_per_tap(
+        &mut self,
+        name: &str,
+        conv: &Conv2d,
+        positions: usize,
+        input: &EncryptedInput,
+        slots: usize,
+    ) -> Result<Vec<Ciphertext>, ExecError> {
+        let weights = conv_offset_weights(conv, positions, slots);
+        let biases = conv_bias_vectors(conv, positions, slots);
         // Each group produces one independent output ciphertext: fan the
         // groups out over a child evaluator per work item and merge the
         // traces back in index order (identical to a serial run, since a
@@ -459,8 +540,68 @@ impl<'a> HeCnnExecutor<'a> {
             let out_ct = ev.add_plain(&acc, &bias_pt).map_err(&err)?;
             Ok((out_ct, ev.take_trace(), ev.take_spans()))
         });
+        self.merge_items(results)
+    }
 
-        let mut out = Vec::with_capacity(weights.len());
+    /// The `Optimized` first convolution: the tap products of a group are
+    /// summed at scale Δ² and rescaled once, with cached plaintexts.
+    fn first_conv_summed(
+        &mut self,
+        name: &str,
+        conv: &Conv2d,
+        positions: usize,
+        input: &EncryptedInput,
+        slots: usize,
+        slot: &OnceLock<LayerOperands>,
+    ) -> Result<Vec<Ciphertext>, ExecError> {
+        let err = at_layer(name);
+        let first = &input.groups[0][0];
+        let (level, out_scale) = (first.level(), self.scale_after_layer(first));
+        let ev = &self.ev;
+        let operands = cached(slot, || {
+            let weights = conv_offset_weights(conv, positions, slots);
+            let biases = conv_bias_vectors(conv, positions, slots);
+            let groups = weights.iter().zip(&biases).map(|(taps, bias)| {
+                let taps = taps.iter().map(|w| ev.encode_for_mul(w, level));
+                Ok((
+                    taps.collect::<Result<_, _>>()?,
+                    ev.encode_at(bias, out_scale, level - 1)?,
+                ))
+            });
+            Ok(LayerOperands::Conv(groups.collect::<Result<_, EvalError>>()?))
+        })
+        .map_err(&err)?;
+        let LayerOperands::Conv(groups) = operands else {
+            unreachable!("a layer's operand kind is fixed by the network");
+        };
+
+        let mut out = Vec::with_capacity(groups.len());
+        for (offsets, (taps, bias)) in input.groups.iter().zip(groups) {
+            let mut acc: Option<Ciphertext> = None;
+            for (ct, tap) in offsets.iter().zip(taps) {
+                let prod = self.ev.mul_plain(ct, tap).map_err(&err)?;
+                acc = Some(match acc {
+                    None => prod,
+                    Some(a) => self.ev.add(&a, &prod).map_err(&err)?,
+                });
+            }
+            let sum = self.ev.rescale(&acc.expect("at least one offset")).map_err(&err)?;
+            out.push(self.ev.add_plain(&sum, bias).map_err(&err)?);
+        }
+        Ok(out)
+    }
+
+    /// The scale a layer's `PCmult` + `Rescale` leaves `ct` at, computed
+    /// the way the evaluator will so a bias encoded ahead of time matches.
+    fn scale_after_layer(&self, ct: &Ciphertext) -> f64 {
+        let q = self.ev.context().dropped_prime_at(ct.level()) as f64;
+        ct.scale() * q / q
+    }
+
+    /// Collects fan-out results in index order, folding each child
+    /// evaluator's trace and spans into the executor's.
+    fn merge_items(&mut self, results: Vec<ItemResult>) -> Result<Vec<Ciphertext>, ExecError> {
+        let mut cts = Vec::with_capacity(results.len());
         for res in results {
             let (ct, trace, spans) = res?;
             if let Some(t) = &trace {
@@ -469,26 +610,9 @@ impl<'a> HeCnnExecutor<'a> {
             if let Some(s) = &spans {
                 self.ev.merge_spans(s);
             }
-            out.push(ct);
+            cts.push(ct);
         }
-        self.check_budget(name, "PCmult", &out)?;
-
-        let n_values = conv.out_channels * positions;
-        let concrete = crate::packing::conv_output_layout(conv, positions, slots);
-        let abstract_layout = if out.len() == 1 {
-            Layout::SingleContig { n: n_values }
-        } else {
-            Layout::MultiContig {
-                n: n_values,
-                cts: out.len(),
-            }
-        };
-        Ok(RunState {
-            cts: out,
-            abstract_layout,
-            concrete,
-            shape: vec![conv.out_channels, oh, ow],
-        })
+        Ok(cts)
     }
 
     fn run_activation(&mut self, name: &str, st: RunState) -> Result<RunState, ExecError> {
@@ -568,10 +692,14 @@ impl<'a> HeCnnExecutor<'a> {
         name: &str,
         st: RunState,
         d_out: usize,
-        slots: usize,
         weight: &(dyn Fn(usize, usize) -> f64 + Sync),
         bias: &(dyn Fn(usize) -> f64 + Sync),
+        slot: OperandSlot<'_>,
     ) -> Result<RunState, ExecError> {
+        let slots = self.ev.context().degree() / 2;
+        if let (Some(slot), Some(plan)) = (slot, plan_linear(&st.abstract_layout, d_out, slots)) {
+            return self.dense_linear(name, st, d_out, slots, &plan, weight, bias, slot);
+        }
         let plan = plan_dense(&st.abstract_layout, d_out, slots);
         let (round_cts, out_abstract, out_concrete) = if plan.stacked {
             self.dense_stacked(name, &st, d_out, slots, &plan, weight, bias)?
@@ -598,6 +726,60 @@ impl<'a> HeCnnExecutor<'a> {
                 shape: st.shape,
             })
         }
+    }
+
+    /// A dense layer as one cached [`LinearTransform`] (see
+    /// [`plan_linear`]) on the executor's own evaluator.
+    #[allow(clippy::too_many_arguments)]
+    fn dense_linear(
+        &mut self,
+        name: &str,
+        st: RunState,
+        d_out: usize,
+        slots: usize,
+        plan: &LinearPlan,
+        weight: &(dyn Fn(usize, usize) -> f64 + Sync),
+        bias: &(dyn Fn(usize) -> f64 + Sync),
+        slot: &OnceLock<LayerOperands>,
+    ) -> Result<RunState, ExecError> {
+        let err = at_layer(name);
+        let mut x = st.cts[0].clone();
+        for &shift in &plan.stack_shifts {
+            let rot = self.ev.rotate(&x, shift, self.gks).map_err(&err)?;
+            x = self.ev.add(&x, &rot).map_err(&err)?;
+        }
+        let placements = plan
+            .output
+            .placements(slots)
+            .expect("linear plans place their outputs by slot");
+
+        let (level, out_scale) = (x.level(), self.scale_after_layer(&x));
+        let ev = &self.ev;
+        let operands = cached(slot, || {
+            let transform = LinearTransform::new(ev, plan.schedule.clone(), level, |g, b| {
+                linear_diagonal(&st.abstract_layout, plan, d_out, slots, weight, g, b)
+            })?;
+            let mut bv = vec![0.0; slots];
+            for (k, &(_, at)) in placements.iter().enumerate() {
+                bv[at] = bias(k);
+            }
+            let bias_pt = ev.encode_at(&bv, out_scale, level - 1)?;
+            Ok(LayerOperands::Linear(transform, bias_pt))
+        })
+        .map_err(&err)?;
+        let LayerOperands::Linear(transform, bias_pt) = operands else {
+            unreachable!("a layer's operand kind is fixed by the network");
+        };
+
+        let y = transform.apply(&mut self.ev, &x, self.gks).map_err(&err)?;
+        let out = self.ev.add_plain(&y, bias_pt).map_err(&err)?;
+        self.check_budget(name, "PCmult", std::slice::from_ref(&out))?;
+        Ok(RunState {
+            cts: vec![out],
+            abstract_layout: plan.output.clone(),
+            concrete: CtLayout::new(slots, 1, placements),
+            shape: st.shape,
+        })
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -672,17 +854,7 @@ impl<'a> HeCnnExecutor<'a> {
             Ok((out_ct, ev.take_trace(), ev.take_spans()))
         });
 
-        let mut round_cts = Vec::with_capacity(plan.rounds);
-        for res in results {
-            let (ct, trace, spans) = res?;
-            if let Some(t) = &trace {
-                self.ev.merge_trace(t);
-            }
-            if let Some(s) = &spans {
-                self.ev.merge_spans(s);
-            }
-            round_cts.push(ct);
-        }
+        let round_cts = self.merge_items(results)?;
         let abstract_layout = Layout::Segmented {
             n: d_out,
             copies: plan.copies,
@@ -751,17 +923,7 @@ impl<'a> HeCnnExecutor<'a> {
             Ok((out_ct, ev.take_trace(), ev.take_spans()))
         });
 
-        let mut round_cts = Vec::with_capacity(d_out);
-        for res in results {
-            let (ct, trace, spans) = res?;
-            if let Some(t) = &trace {
-                self.ev.merge_trace(t);
-            }
-            if let Some(s) = &spans {
-                self.ev.merge_spans(s);
-            }
-            round_cts.push(ct);
-        }
+        let round_cts = self.merge_items(results)?;
         let abstract_layout = Layout::PerOutput { n: d_out };
         let concrete = CtLayout::new(slots, d_out, (0..d_out).map(|k| (k, 0)).collect());
         Ok((round_cts, abstract_layout, concrete))
@@ -837,6 +999,47 @@ impl<'a> HeCnnExecutor<'a> {
     }
 }
 
+/// The slot vector that multiplies `rot(x, g·stride + b)` in a dense
+/// layer planned by [`plan_linear`] — the form [`LinearTransform::new`]
+/// and [`fxhenn_ckks::LinearSchedule::apply_plain`] take diagonals in.
+fn linear_diagonal(
+    input: &Layout,
+    plan: &LinearPlan,
+    d_out: usize,
+    slots: usize,
+    weight: &dyn Fn(usize, usize) -> f64,
+    g: usize,
+    b: usize,
+) -> Vec<f64> {
+    let d_in = input.value_count();
+    let shift = g * plan.schedule.stride + b;
+    let mut diag = vec![0.0; slots];
+    match (input, &plan.output) {
+        // Hybrid diagonals over the stacked input: block c computes
+        // outputs m·c .. m·c + m, and diagonal `shift` pairs slot p of a
+        // block with input (p + shift) mod seg.
+        (Layout::SingleContig { .. }, &Layout::Blocked { m, seg, .. }) => {
+            for (j, d) in diag.iter_mut().enumerate() {
+                let (c, p) = (j / seg, j % seg);
+                let (k, v) = (m * c + p % m, (p + shift) % seg);
+                if k < d_out && v < d_in {
+                    *d = weight(k, v);
+                }
+            }
+        }
+        // Output g's weight row over the blocked input; the schedule
+        // moves the product `shift` slots left, into window g.
+        (&Layout::Blocked { m, seg, .. }, Layout::Windowed { .. }) => {
+            for v in 0..d_in {
+                diag[(v / m) * seg + v % m] = weight(g, v);
+            }
+            diag.rotate_left(shift % slots);
+        }
+        other => unreachable!("plan_linear pairs no such layouts: {other:?}"),
+    }
+    diag
+}
+
 /// The weight a mid-network convolution contributes between flattened
 /// input value `v` and flattened output value `k`, treating the conv as
 /// a (sparse) dense matrix.
@@ -867,6 +1070,7 @@ mod tests {
     use super::*;
     use crate::layers::{Dense, Square};
     use crate::lowering::lower_network;
+    use crate::packing::next_pow2;
     use crate::model::{synthetic_input, toy_mnist_like, Network};
     use fxhenn_ckks::{CkksContext, CkksParams, KeyGenerator};
     use rand::rngs::StdRng;
@@ -947,45 +1151,92 @@ mod tests {
     }
 
     #[test]
+    fn linear_plans_compute_dense_layers_slot_for_slot() {
+        // Two dense layers through plan_linear in exact small-integer
+        // arithmetic, no encryption: hybrid diagonals over the stacked
+        // input, then window packing over its blocked output with the
+        // fold residue still in place.
+        use rand::Rng as _;
+        let mut rng = StdRng::seed_from_u64(91);
+        for (slots, d_in, d_mid, d_out) in [(4096, 845, 100, 10), (512, 32, 8, 4), (64, 13, 7, 3)] {
+            let mut ints = |n: usize| -> Vec<f64> {
+                (0..n).map(|_| f64::from(rng.gen_range(-3i32..=3))).collect()
+            };
+            let (w1, w2, x) = (ints(d_mid * d_in), ints(d_out * d_mid), ints(d_in));
+            let dense = |w: &[f64], cols: usize, v: &[f64]| -> Vec<f64> {
+                w.chunks(cols)
+                    .map(|row| row.iter().zip(v).map(|(a, b)| a * b).sum())
+                    .collect()
+            };
+            let hidden = dense(&w1, d_in, &x);
+            let logits = dense(&w2, d_mid, &hidden);
+
+            let contig = Layout::SingleContig { n: d_in };
+            let first = plan_linear(&contig, d_mid, slots).expect("stackable input");
+            let mut stacked = vec![0.0; slots];
+            stacked[..d_in].copy_from_slice(&x);
+            for &shift in &first.stack_shifts {
+                let before = stacked.clone();
+                for (j, s) in stacked.iter_mut().enumerate() {
+                    *s += before[(j + shift) % slots];
+                }
+            }
+            let h = first.schedule.apply_plain(&stacked, |g, b| {
+                linear_diagonal(&contig, &first, d_mid, slots, &|k, v| w1[k * d_in + v], g, b)
+            });
+            let at = first.output.placements(slots).expect("blocked");
+            let got: Vec<f64> = at.iter().map(|&(_, slot)| h[slot]).collect();
+            assert_eq!(got, hidden, "{slots} slots: hybrid diagonals");
+
+            let second = plan_linear(&first.output, d_out, slots).expect("fits the windows");
+            assert!(second.stack_shifts.is_empty());
+            let y = second.schedule.apply_plain(&h, |g, b| {
+                let weight = |k: usize, v: usize| w2[k * d_mid + v];
+                linear_diagonal(&first.output, &second, d_out, slots, &weight, g, b)
+            });
+            let at = second.output.placements(slots).expect("windowed");
+            let got: Vec<f64> = at.iter().map(|&(_, slot)| y[slot]).collect();
+            assert_eq!(got, logits, "{slots} slots: window packing");
+
+            let keys = plan_dense(&contig, d_mid, slots).rotation_steps();
+            for step in first.rotation_steps().into_iter().chain(second.rotation_steps()) {
+                let across_blocks = step >= next_pow2(d_in);
+                assert!(keys.contains(&step) || across_blocks, "step {step} needs a new key");
+            }
+        }
+    }
+
+    #[test]
     fn measured_trace_matches_analytic_plan() {
+        use crate::lowering::try_lower_network_with;
         let net = toy_mnist_like(15);
         let (rig, keys) = rig_for(&net);
-        let prog = lower_network(&net, rig.ctx.degree(), rig.ctx.max_level());
-
         let image = synthetic_input(&net, 7);
         let mut enc = Encryptor::new(&rig.ctx, keys.pk.clone(), StdRng::seed_from_u64(33));
         let input = encrypt_input(&net, &image, &mut enc, rig.ctx.degree() / 2);
-        let mut exec = HeCnnExecutor::new(&rig.ctx, &keys.rk, &keys.gks);
-        exec.start_trace();
-        let _ = exec.run(&net, &input);
-        let measured = exec.take_trace().expect("trace started");
 
-        let planned = prog.total_trace();
-        assert_eq!(
-            measured.hop_count(),
-            planned.hop_count(),
-            "HOP count: measured vs planned"
-        );
-        assert_eq!(
-            measured.key_switch_count(),
-            planned.key_switch_count(),
-            "KS count: measured vs planned"
-        );
-        for kind in fxhenn_ckks::HeOpKind::ALL {
-            assert_eq!(
-                measured.count_of(kind),
-                planned.count_of(kind),
-                "count of {kind}"
-            );
+        for profile in [LoweringProfile::PaperFaithful, LoweringProfile::Optimized] {
+            let prog =
+                try_lower_network_with(&net, rig.ctx.degree(), rig.ctx.max_level(), profile)
+                    .expect("toy net lowers");
+            let mut exec = HeCnnExecutor::with_profile(&rig.ctx, &keys.rk, &keys.gks, profile);
+            exec.start_trace();
+            let _ = exec.run(&net, &input);
+            let measured = exec.take_trace().expect("trace started");
+            let planned = prog.total_trace();
+            if profile == LoweringProfile::Optimized {
+                assert_eq!(measured, planned, "record for record");
+                continue;
+            }
+            // The faithful executor interleaves ops that the plan records
+            // in batches: kinds and levels must agree as multisets.
+            let key = |r: &fxhenn_ckks::HeOpRecord| (r.kind, r.level);
+            let mut m: Vec<_> = measured.records().iter().map(key).collect();
+            let mut p: Vec<_> = planned.records().iter().map(key).collect();
+            m.sort_unstable();
+            p.sort_unstable();
+            assert_eq!(m, p, "per-level operation multisets must agree");
         }
-        // Levels must agree as multisets of (kind, level): the executor
-        // interleaves ops that the plan records in batches.
-        let key = |r: &fxhenn_ckks::HeOpRecord| (r.kind, r.level);
-        let mut m: Vec<_> = measured.records().iter().map(key).collect();
-        let mut p: Vec<_> = planned.records().iter().map(key).collect();
-        m.sort_unstable();
-        p.sort_unstable();
-        assert_eq!(m, p, "per-level operation multisets must agree");
     }
 
     #[test]

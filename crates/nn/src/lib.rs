@@ -17,6 +17,7 @@ pub mod lowering;
 pub mod model;
 pub mod noise_plan;
 pub mod packing;
+pub mod plain_cache;
 pub mod stats;
 pub mod telemetry;
 pub mod tensor;
@@ -26,14 +27,15 @@ pub use builder::{BuildError, NetworkBuilder};
 pub use error::{ExecError, LowerError};
 pub use layers::{AvgPool2d, ChannelScale, Conv2d, Dense, Layer, SignRelu, Square};
 pub use lowering::{
-    lower_network, plan_dense, try_lower_network, DensePlan, HeCnnProgram, HeLayerClass,
-    HeLayerPlan, Layout,
+    lower_network, plan_dense, plan_linear, try_lower_network, try_lower_network_with, DensePlan,
+    HeCnnProgram, HeLayerClass, HeLayerPlan, Layout, LinearPlan, LoweringProfile,
 };
 pub use model::{fxhenn_cifar10, fxhenn_mnist, fxhenn_mnist_pooled, synthetic_input, toy_cryptonets_like, toy_mnist_like, Network};
 pub use noise_plan::{
     analyze_noise, LayerNoiseProfile, NoiseInfeasible, NoiseTrajectory, DEFAULT_PLAN_FLOOR_BITS,
 };
 pub use packing::CtLayout;
+pub use plain_cache::PlaintextCache;
 pub use telemetry::{register_nn_metrics, LayerSpanLog};
 pub use train::{accuracy, train, SyntheticTask, TrainConfig};
 pub use tensor::Tensor;

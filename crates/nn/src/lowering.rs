@@ -20,17 +20,38 @@
 //!   across all input ciphertexts. Very wide layers consolidate their
 //!   round outputs back into one ciphertext with a masked
 //!   rotate-accumulate, spending one extra level.
+//!
+//! These rules are the [`LoweringProfile::PaperFaithful`] lowering, the
+//! one every table and the hardware model are judged on.
+//! [`LoweringProfile::Optimized`] is what the CPU executor runs by
+//! default: the first convolution rescales once, and a dense layer over
+//! one contiguous or blocked ciphertext becomes a single
+//! [`LinearSchedule`] (see [`plan_linear`], DESIGN.md §16).
 
 use crate::error::LowerError;
 use crate::layers::{Conv2d, Layer};
 use crate::model::Network;
 use crate::packing::next_pow2;
 use crate::stats::op_he_macs;
-use fxhenn_ckks::{HeOpKind, OpTrace};
+use fxhenn_ckks::{HeOpKind, LinearSchedule, OpTrace};
 
 /// Round-count threshold above which a dense layer's outputs are
 /// consolidated into a single ciphertext (at the cost of one level).
 pub const CONSOLIDATE_THRESHOLD: usize = 32;
+
+/// Which schedule a network is lowered to. Both compute the same
+/// function from the same Galois keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum LoweringProfile {
+    /// The LoLa lowering of the paper: what the hardware model, the DSE,
+    /// the simulator and Tables IV/VI/VII price.
+    #[default]
+    PaperFaithful,
+    /// Fewest key switches on the keys `PaperFaithful` already needs:
+    /// one rescale for the first convolution, dense layers as
+    /// baby-step/giant-step diagonals.
+    Optimized,
+}
 
 /// The paper's two-way layer classification (Sec. V-A): layers with
 /// KeySwitch operations pipeline differently from layers without.
@@ -76,6 +97,13 @@ pub enum Layout {
         seg: usize,
         rounds: usize,
     },
+    /// Hybrid-diagonal dense output: one ciphertext, value `k` at slot
+    /// `(k / m)·seg + k % m`; the other slots hold fold residue that the
+    /// next layer's zero weights mask.
+    Blocked { n: usize, m: usize, seg: usize },
+    /// Window-packed dense output: one ciphertext, value `k` at slot
+    /// `(slots − m·k) mod slots`, residue elsewhere.
+    Windowed { n: usize, m: usize },
 }
 
 /// The rotate-and-sum and replication shifts a dense lowering uses, all
@@ -176,14 +204,19 @@ impl Layout {
             | Layout::MultiContig { n, .. }
             | Layout::Segmented { n, .. }
             | Layout::PerOutput { n }
-            | Layout::ScatteredSingle { n, .. } => n,
+            | Layout::ScatteredSingle { n, .. }
+            | Layout::Blocked { n, .. }
+            | Layout::Windowed { n, .. } => n,
         }
     }
 
     /// Number of ciphertexts at this boundary.
     pub fn ct_count(&self) -> usize {
         match *self {
-            Layout::SingleContig { .. } | Layout::ScatteredSingle { .. } => 1,
+            Layout::SingleContig { .. }
+            | Layout::ScatteredSingle { .. }
+            | Layout::Blocked { .. }
+            | Layout::Windowed { .. } => 1,
             Layout::MultiContig { cts, .. } | Layout::Segmented { cts, .. } => cts,
             Layout::PerOutput { n } => n,
         }
@@ -210,7 +243,92 @@ impl Layout {
                 let across = (0..next_pow2(copies).trailing_zeros()).map(|t| seg << t);
                 within.into_iter().chain(across).collect()
             }
+            Layout::Blocked { m, seg, .. } => pow2_steps(1, m).chain(pow2_steps(seg, slots)).collect(),
+            Layout::Windowed { m, .. } => pow2_steps(m, slots).collect(),
         }
+    }
+
+    /// Where each value lives, slot for slot (`None` for the layouts
+    /// whose placement also depends on how they were produced).
+    pub fn placements(&self, slots: usize) -> Option<Vec<(usize, usize)>> {
+        match *self {
+            Layout::Blocked { n, m, seg } => {
+                Some((0..n).map(|k| (0, (k / m) * seg + k % m)).collect())
+            }
+            Layout::Windowed { n, m } => {
+                Some((0..n).map(|k| (0, (slots - m * k % slots) % slots)).collect())
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The doubling steps `from, 2·from, …` below `to` (both powers of two).
+fn pow2_steps(from: usize, to: usize) -> impl Iterator<Item = usize> {
+    (from.trailing_zeros()..to.trailing_zeros()).map(|t| 1usize << t)
+}
+
+/// A dense layer as one [`LinearSchedule`]: the [`LoweringProfile::Optimized`]
+/// counterpart of [`DensePlan`], shared by the lowering and the executor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinearPlan {
+    /// Left-rotation steps replicating a contiguous input into stacked
+    /// copies first (empty for a blocked input).
+    pub stack_shifts: Vec<usize>,
+    /// The diagonal schedule.
+    pub schedule: LinearSchedule,
+    /// Where the outputs land.
+    pub output: Layout,
+}
+
+impl LinearPlan {
+    /// All distinct rotation steps this plan needs Galois keys for.
+    pub fn rotation_steps(&self) -> Vec<usize> {
+        let mut v = self.schedule.rotation_steps();
+        v.extend(&self.stack_shifts);
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+}
+
+/// Plans a dense layer as a single linear transform, when its input
+/// allows one; `None` keeps the [`plan_dense`] schedule.
+///
+/// * A stackable contiguous input (`seg = next_pow2(d_in)`,
+///   `copies = slots/seg`) becomes GAZELLE-style hybrid diagonals: block
+///   `c` of the stacked input computes outputs `m·c … m·c + m − 1` with
+///   `m = next_pow2(⌈d_out/copies⌉)` diagonals, then folds by
+///   `m, 2m, …, seg/2`. Output `k` lands at `(k / m)·seg + k % m`.
+/// * A blocked input whose layer fits `d_out·m ≤ seg` multiplies once
+///   per output and packs the products into disjoint `m`-wide windows,
+///   then folds within windows and across blocks. Output `k` lands at
+///   `(slots − m·k) mod slots`.
+///
+/// Every step is a power of two below `seg`, or one of the stacking
+/// steps — all steps the `plan_dense` schedule of the same layer chain
+/// already uses.
+pub fn plan_linear(input: &Layout, d_out: usize, slots: usize) -> Option<LinearPlan> {
+    match *input {
+        Layout::SingleContig { .. } => {
+            let dense = plan_dense(input, d_out, slots);
+            let m = next_pow2(d_out.div_ceil(dense.copies));
+            (dense.stacked && m <= dense.seg).then(|| LinearPlan {
+                stack_shifts: dense.stack_shifts,
+                schedule: LinearSchedule::bsgs(m, pow2_steps(m, dense.seg).collect()),
+                output: Layout::Blocked {
+                    n: d_out,
+                    m,
+                    seg: dense.seg,
+                },
+            })
+        }
+        Layout::Blocked { m, seg, .. } if d_out * m <= seg => Some(LinearPlan {
+            stack_shifts: Vec::new(),
+            schedule: LinearSchedule::packed(d_out, m, input.rotate_sum_shifts(slots)),
+            output: Layout::Windowed { n: d_out, m },
+        }),
+        _ => None,
     }
 }
 
@@ -326,26 +444,108 @@ impl HeCnnProgram {
 
 /// Lowers a network into an HE program for ring degree `degree` with
 /// `max_level` starting level, returning a [`LowerError`] when the
-/// network's structure or budget makes lowering impossible.
+/// network's structure or budget makes lowering impossible. This is the
+/// [`LoweringProfile::PaperFaithful`] lowering.
 pub fn try_lower_network(
     net: &Network,
     degree: usize,
     max_level: usize,
 ) -> Result<HeCnnProgram, LowerError> {
+    try_lower_network_with(net, degree, max_level, LoweringProfile::PaperFaithful)
+}
+
+/// [`try_lower_network`] under an explicit profile.
+///
+/// Keys are generated from one program but must serve an executor of
+/// either profile, so each layer's `rotation_steps` also lists the steps
+/// the other profile would add to the program's key set (none for the
+/// built-in networks); everything else describes `profile` alone.
+pub fn try_lower_network_with(
+    net: &Network,
+    degree: usize,
+    max_level: usize,
+    profile: LoweringProfile,
+) -> Result<HeCnnProgram, LowerError> {
+    let (mut program, other_steps) = lower_profile(net, degree, max_level, profile)?;
+    add_missing_steps(&mut program, &other_steps);
+    Ok(program)
+}
+
+/// Adds to each layer of `program` the rotation steps among `other` (the
+/// same layer's steps under the other profile) that no layer of
+/// `program` has.
+fn add_missing_steps(program: &mut HeCnnProgram, other: &[Vec<usize>]) {
+    let have = program.required_rotations();
+    for (layer, other) in program.layers.iter_mut().zip(other) {
+        let missing = other.iter().filter(|s| have.binary_search(s).is_err());
+        layer.rotation_steps.extend(missing);
+        layer.rotation_steps.sort_unstable();
+    }
+}
+
+/// Rotation steps and output layout of a dense-like layer under
+/// `profile` — the part of its lowering that needs no trace, which is
+/// all the *other* profile is followed for.
+fn dense_route(
+    input: &Layout,
+    d_out: usize,
+    slots: usize,
+    profile: LoweringProfile,
+) -> (Vec<usize>, Layout) {
+    if let (LoweringProfile::Optimized, Some(plan)) = (profile, plan_linear(input, d_out, slots)) {
+        return (plan.rotation_steps(), plan.output);
+    }
+    let plan = plan_dense(input, d_out, slots);
+    let (copies, seg) = (plan.copies, plan.seg);
+    let output = match (plan.stacked, plan.consolidate) {
+        (true, false) => Layout::Segmented { n: d_out, copies, seg, cts: plan.rounds },
+        (false, false) => Layout::PerOutput { n: d_out },
+        // Consolidated: one ciphertext (a per-output plan has copies = seg = 1).
+        (_, true) => Layout::ScatteredSingle { n: d_out, copies, seg, rounds: plan.rounds },
+    };
+    (plan.rotation_steps(), output)
+}
+
+/// A layer boundary under the profile being lowered (`own`) and under
+/// the other one, which is followed only for its rotation steps.
+#[derive(Clone)]
+struct Boundary {
+    own: Layout,
+    other: Layout,
+}
+
+/// Lowers `net` under `profile` alone; the second value lists, per
+/// layer, the rotation steps the other profile takes there.
+fn lower_profile(
+    net: &Network,
+    degree: usize,
+    max_level: usize,
+    profile: LoweringProfile,
+) -> Result<(HeCnnProgram, Vec<Vec<usize>>), LowerError> {
     let slots = degree / 2;
     let mut level = max_level;
     let mut shape = net.input_shape().to_vec();
-    let mut layout: Option<Layout> = None;
+    let mut layout: Option<Boundary> = None;
     let mut plans = Vec::with_capacity(net.layer_count());
+    let mut other_steps = vec![Vec::new(); net.layer_count()];
     if net.layer_count() == 0 {
         return Err(LowerError::EmptyNetwork);
     }
+    let other_profile = match profile {
+        LoweringProfile::PaperFaithful => LoweringProfile::Optimized,
+        LoweringProfile::Optimized => LoweringProfile::PaperFaithful,
+    };
+    let dense = |name: &str, at: &Boundary, d_out: usize, level: usize| {
+        let (plan, own) = lower_dense_like(name, &at.own, d_out, slots, level, profile);
+        let (steps, other) = dense_route(&at.other, d_out, slots, other_profile);
+        (plan, Boundary { own, other }, steps)
+    };
 
     for (idx, (name, layer)) in net.layers().iter().enumerate() {
         if idx == 0 && !matches!(layer, Layer::Conv(_)) {
             return Err(LowerError::FirstLayerNotConv);
         }
-        let need_input = |layout: &Option<Layout>| {
+        let need_input = |layout: &Option<Boundary>| {
             layout.clone().ok_or_else(|| LowerError::MissingInput {
                 layer: name.clone(),
             })
@@ -353,10 +553,13 @@ pub fn try_lower_network(
         let plan = match layer {
             Layer::Conv(conv) => {
                 if idx == 0 {
-                    let (p, l2) = lower_first_conv(name, conv, &shape, slots, level)?;
+                    let (p, l2) = lower_first_conv(name, conv, &shape, slots, level, profile)?;
                     let (oh, ow) = conv.output_size(shape[1], shape[2]);
                     shape = vec![conv.out_channels, oh, ow];
-                    layout = Some(l2);
+                    layout = Some(Boundary {
+                        own: l2.clone(),
+                        other: l2,
+                    });
                     level = p.level_out;
                     p
                 } else {
@@ -364,8 +567,8 @@ pub fn try_lower_network(
                     // over the flattened input (rotation-based).
                     let (oh, ow) = conv.output_size(shape[1], shape[2]);
                     let d_out = conv.out_channels * oh * ow;
-                    let (p, l2) =
-                        lower_dense_like(name, &need_input(&layout)?, d_out, slots, level);
+                    let (p, l2, steps) = dense(name, &need_input(&layout)?, d_out, level);
+                    other_steps[idx] = steps;
                     shape = vec![conv.out_channels, oh, ow];
                     layout = Some(l2);
                     level = p.level_out;
@@ -373,20 +576,21 @@ pub fn try_lower_network(
                 }
             }
             Layer::Activation(_) => {
-                let p = lower_activation(name, &need_input(&layout)?, level);
+                let p = lower_activation(name, &need_input(&layout)?.own, level);
                 level = p.level_out;
                 p
             }
             Layer::Dense(d) => {
                 let lay = need_input(&layout)?;
-                if lay.value_count() != d.in_features {
+                if lay.own.value_count() != d.in_features {
                     return Err(LowerError::DenseSizeMismatch {
                         layer: name.clone(),
                         expected: d.in_features,
-                        got: lay.value_count(),
+                        got: lay.own.value_count(),
                     });
                 }
-                let (p, l2) = lower_dense_like(name, &lay, d.out_features, slots, level);
+                let (p, l2, steps) = dense(name, &lay, d.out_features, level);
+                other_steps[idx] = steps;
                 shape = vec![d.out_features];
                 layout = Some(l2);
                 level = p.level_out;
@@ -404,7 +608,8 @@ pub fn try_lower_network(
                 }
                 let (oh, ow) = pool.output_size(shape[1], shape[2]);
                 let d_out = shape[0] * oh * ow;
-                let (p, l2) = lower_dense_like(name, &lay, d_out, slots, level);
+                let (p, l2, steps) = dense(name, &lay, d_out, level);
+                other_steps[idx] = steps;
                 shape = vec![shape[0], oh, ow];
                 layout = Some(l2);
                 level = p.level_out;
@@ -427,7 +632,7 @@ pub fn try_lower_network(
                         channels: shape[0],
                     });
                 }
-                let p = lower_channel_scale(name, &lay, slots, level);
+                let p = lower_channel_scale(name, &lay.own, slots, level);
                 level = p.level_out;
                 p
             }
@@ -440,7 +645,7 @@ pub fn try_lower_network(
                         max_level,
                     });
                 }
-                let p = lower_sign_activation(name, &lay, relu.preset, level);
+                let p = lower_sign_activation(name, &lay.own, relu.preset, level);
                 level = p.level_out;
                 p
             }
@@ -454,12 +659,13 @@ pub fn try_lower_network(
         plans.push(plan);
     }
 
-    Ok(HeCnnProgram {
+    let program = HeCnnProgram {
         network_name: net.name().to_string(),
         degree,
         max_level,
         layers: plans,
-    })
+    };
+    Ok((program, other_steps))
 }
 
 /// Lowers a network into an HE program for ring degree `degree` with
@@ -481,6 +687,7 @@ fn lower_first_conv(
     shape: &[usize],
     slots: usize,
     level: usize,
+    profile: LoweringProfile,
 ) -> Result<(HeLayerPlan, Layout), LowerError> {
     let (oh, ow) = conv.output_size(shape[1], shape[2]);
     let positions = oh * ow;
@@ -497,9 +704,22 @@ fn lower_first_conv(
 
     let mut trace = OpTrace::new();
     for _g in 0..groups {
-        trace.record_many(HeOpKind::PcMult, level, k);
-        trace.record_many(HeOpKind::Rescale, level, k);
-        trace.record_many(HeOpKind::CcAdd, level - 1, k - 1);
+        match profile {
+            LoweringProfile::PaperFaithful => {
+                trace.record_many(HeOpKind::PcMult, level, k);
+                trace.record_many(HeOpKind::Rescale, level, k);
+                trace.record_many(HeOpKind::CcAdd, level - 1, k - 1);
+            }
+            // The taps are summed at scale Δ² and rescaled once.
+            LoweringProfile::Optimized => {
+                trace.record(HeOpKind::PcMult, level);
+                for _ in 1..k {
+                    trace.record(HeOpKind::PcMult, level);
+                    trace.record(HeOpKind::CcAdd, level);
+                }
+                trace.record(HeOpKind::Rescale, level);
+            }
+        }
         trace.record(HeOpKind::PcAdd, level - 1);
     }
     let n_values = conv.out_channels * positions;
@@ -612,12 +832,34 @@ fn lower_dense_like(
     d_out: usize,
     slots: usize,
     level: usize,
+    profile: LoweringProfile,
 ) -> (HeLayerPlan, Layout) {
     let mut trace = OpTrace::new();
+    let (rotation_steps, output) = dense_route(input, d_out, slots, profile);
+    if let (LoweringProfile::Optimized, Some(plan)) = (profile, plan_linear(input, d_out, slots)) {
+        for _ in &plan.stack_shifts {
+            trace.record(HeOpKind::Rotate, level);
+            trace.record(HeOpKind::CcAdd, level);
+        }
+        plan.schedule.record(level, &mut trace);
+        trace.record(HeOpKind::PcAdd, level - 1);
+        let he_plan = HeLayerPlan {
+            name: name.to_string(),
+            class: HeLayerClass::Ks,
+            trace,
+            input_cts: 1,
+            output_cts: 1,
+            level_in: level,
+            level_out: level - 1,
+            plaintext_words: slots * 2 * (plan.schedule.term_count() * level + level - 1),
+            rotation_steps,
+        };
+        return (he_plan, output);
+    }
     let plan = plan_dense(input, d_out, slots);
     let mut plaintext_words = 0usize;
 
-    let (out_layout, level_after_rounds) = if plan.stacked {
+    if plan.stacked {
         // replicate input into `copies` stacked copies
         trace.record_many(HeOpKind::Rotate, level, plan.stack_shifts.len());
         trace.record_many(HeOpKind::CcAdd, level, plan.stack_shifts.len());
@@ -633,15 +875,6 @@ fn lower_dense_like(
         }
         plaintext_words += plan.rounds * slots * 2 * level; // weight plaintexts
         plaintext_words += plan.rounds * slots * 2 * (level - 1); // bias plaintexts
-        (
-            Layout::Segmented {
-                n: d_out,
-                copies: plan.copies,
-                seg: plan.seg,
-                cts: plan.rounds,
-            },
-            level - 1,
-        )
     } else {
         // One output per round across all input ciphertexts.
         let m = input.ct_count();
@@ -656,13 +889,13 @@ fn lower_dense_like(
         }
         plaintext_words += d_out * m * slots * 2 * level;
         plaintext_words += d_out * slots * 2 * (level - 1);
-        (Layout::PerOutput { n: d_out }, level - 1)
-    };
+    }
+    let mut level_out = level - 1;
 
     // Consolidation: wide layers fold their round ciphertexts back into
     // one via mask + rotate + add, spending one more level.
-    let (final_layout, level_out) = if plan.consolidate {
-        let lv = level_after_rounds;
+    if plan.consolidate {
+        let lv = level_out;
         for r in 0..plan.rounds {
             trace.record(HeOpKind::PcMult, lv); // mask
             trace.record(HeOpKind::Rescale, lv);
@@ -672,38 +905,21 @@ fn lower_dense_like(
             }
         }
         plaintext_words += plan.rounds * slots * 2 * lv; // mask plaintexts
-        let layout = match out_layout {
-            Layout::Segmented { n, copies, seg, .. } => Layout::ScatteredSingle {
-                n,
-                copies,
-                seg,
-                rounds: plan.rounds,
-            },
-            Layout::PerOutput { n } => Layout::ScatteredSingle {
-                n,
-                copies: 1,
-                seg: 1,
-                rounds: plan.rounds,
-            },
-            other => other,
-        };
-        (layout, lv - 1)
-    } else {
-        (out_layout, level_after_rounds)
-    };
+        level_out = lv - 1;
+    }
 
     let he_plan = HeLayerPlan {
         name: name.to_string(),
         class: HeLayerClass::Ks,
         trace,
         input_cts: input.ct_count(),
-        output_cts: final_layout.ct_count(),
+        output_cts: output.ct_count(),
         level_in: level,
         level_out,
         plaintext_words,
-        rotation_steps: plan.rotation_steps(),
+        rotation_steps,
     };
-    (he_plan, final_layout)
+    (he_plan, output)
 }
 
 #[cfg(test)]
@@ -836,6 +1052,106 @@ mod tests {
             (1000..=20_000).contains(&factor),
             "HE/plain MAC factor = {factor}"
         );
+    }
+
+    #[test]
+    fn optimized_mnist_is_35_key_switches_on_the_faithful_keys() {
+        let fast = try_lower_network_with(&fxhenn_mnist(1), 8192, 7, LoweringProfile::Optimized)
+            .unwrap();
+        let per_layer: Vec<(usize, usize)> = fast
+            .layers
+            .iter()
+            .map(|l| (l.hop_count(), l.key_switch_count()))
+            .collect();
+        // Cnv1 25 PCmult + 24 CCadd + Rescale + PCadd; Fc1 2 stack + 7
+        // baby + 3 giant + 5 fold rotations; Fc2 9 packing + 7 fold.
+        assert_eq!(per_layer, [(51, 0), (3, 1), (89, 17), (3, 1), (44, 16)]);
+        let fc2 = fast.layer("Fc2").unwrap();
+        assert_eq!(fc2.trace.count_of(HeOpKind::PcMult), 10);
+        assert_eq!((fc2.input_cts, fc2.output_cts), (1, 1));
+        assert_eq!(fast.layers.last().unwrap().level_out, 2);
+    }
+
+    #[test]
+    fn optimized_profile_adds_no_key_to_the_builtin_networks() {
+        use crate::model::{fxhenn_mnist_pooled, toy_cryptonets_like};
+        let nets = [
+            (fxhenn_mnist(1), 8192, 7),
+            (fxhenn_cifar10(1), 16384, 7),
+            (toy_mnist_like(1), 1024, 7),
+            (fxhenn_mnist_pooled(1), 8192, 9),
+            (toy_cryptonets_like(1), 1024, 7),
+        ];
+        for (net, degree, levels) in nets {
+            let own = |profile| {
+                let (pure, _) = lower_profile(&net, degree, levels, profile).unwrap();
+                pure.required_rotations()
+            };
+            let faithful = own(LoweringProfile::PaperFaithful);
+            let fast = own(LoweringProfile::Optimized);
+            let extra: Vec<_> = fast.iter().filter(|s| !faithful.contains(s)).collect();
+            assert!(extra.is_empty(), "{}: new steps {extra:?}", net.name());
+            // So the public lowering is the faithful one, untouched.
+            assert_eq!(
+                lower_network(&net, degree, levels),
+                lower_profile(&net, degree, levels, LoweringProfile::PaperFaithful).unwrap().0,
+                "{}",
+                net.name()
+            );
+        }
+    }
+
+    #[test]
+    fn optimized_steps_stay_inside_the_faithful_key_set_across_architectures() {
+        use crate::builder::NetworkBuilder;
+        let mut lowered = 0;
+        for (maps, kernel, stride) in [(1, 2, 1), (2, 3, 1), (3, 3, 2), (3, 2, 2)] {
+            for extra in 0..3 {
+                for (hidden, outputs) in [(2, 2), (5, 6), (10, 3), (18, 20), (40, 4), (70, 33)] {
+                    let mut b = NetworkBuilder::new("arch", [1, 9, 9], 3)
+                        .conv(maps, kernel, stride)
+                        .square();
+                    match extra {
+                        1 => b = b.avg_pool(2, 2),
+                        2 => b = b.batch_norm(),
+                        _ => {}
+                    }
+                    let net = b.dense(hidden).square().dense(outputs).build(9).unwrap();
+                    let own = |profile| lower_profile(&net, 1024, 9, profile);
+                    let (Ok((faithful, other)), Ok((fast, _))) =
+                        (own(LoweringProfile::PaperFaithful), own(LoweringProfile::Optimized))
+                    else {
+                        continue;
+                    };
+                    // What the faithful walk says the optimized profile
+                    // takes is what the optimized lowering takes.
+                    let fast_steps: Vec<_> = fast.layers.iter().map(|l| l.rotation_steps.clone()).collect();
+                    assert_eq!(other, fast_steps);
+                    let keys = faithful.required_rotations();
+                    for step in fast.required_rotations() {
+                        assert!(keys.contains(&step), "{maps}/{kernel}/{stride}/{extra}/{hidden}/{outputs}: step {step}");
+                    }
+                    lowered += 1;
+                }
+            }
+        }
+        assert!(lowered > 50, "only {lowered} architectures lowered under both profiles");
+    }
+
+    #[test]
+    fn key_set_is_the_union_when_the_profiles_differ() {
+        // No architecture above has an optimized schedule outside its
+        // faithful key set, so the merge is shown on a doctored program.
+        let net = toy_mnist_like(1);
+        let (mut prog, mut other) =
+            lower_profile(&net, 1024, 7, LoweringProfile::PaperFaithful).unwrap();
+        other[4] = vec![1, 3, 32];
+        let before = prog.clone();
+        add_missing_steps(&mut prog, &other);
+        // 1 and 32 are Fc1's and Fc2's already; only 3 is new, on Fc2.
+        assert_eq!(prog.layers[4].rotation_steps, [3, 32, 64, 128, 256]);
+        assert_eq!(prog.layers[..4], before.layers[..4]);
+        assert_eq!(prog.layers[4].trace, before.layers[4].trace);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! HE-vs-plaintext rather than via dataset accuracy.
 
 use crate::layers::{AvgPool2d, ChannelScale, Conv2d, Dense, Layer, Square};
+use crate::plain_cache::PlaintextCache;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,6 +25,8 @@ pub struct Network {
     name: String,
     input_shape: Vec<usize>,
     layers: Vec<(String, Layer)>,
+    /// Encoded operands of the optimized executor (derived state).
+    plaintexts: PlaintextCache,
 }
 
 impl Network {
@@ -38,6 +41,7 @@ impl Network {
             name: name.into(),
             input_shape: input_shape.to_vec(),
             layers,
+            plaintexts: PlaintextCache::default(),
         }
     }
 
@@ -56,9 +60,18 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layers (used by the trainer).
+    /// Mutable access to the layers (used by the trainer). Drops the
+    /// encoded operands, which the caller is about to invalidate.
     pub fn layers_mut(&mut self) -> &mut [(String, Layer)] {
+        self.plaintexts.clear();
         &mut self.layers
+    }
+
+    /// The layer operands the optimized executor has encoded for this
+    /// network, built on the first run under a context and reused by
+    /// every later one.
+    pub fn plaintext_cache(&self) -> &PlaintextCache {
+        &self.plaintexts
     }
 
     /// Number of layers.

@@ -3,7 +3,9 @@
 //! valid architecture, not just the paper's two.
 
 use fxhenn_ckks::HeOpKind;
-use fxhenn_nn::{lower_network, HeLayerClass, NetworkBuilder};
+use fxhenn_nn::{
+    lower_network, try_lower_network_with, HeLayerClass, LoweringProfile, NetworkBuilder,
+};
 use proptest::prelude::*;
 
 /// A random but always-valid small architecture.
@@ -155,6 +157,52 @@ proptest! {
         let ks: usize = prog.layers.iter().map(|l| l.key_switch_count()).sum();
         prop_assert_eq!(ks, prog.key_switch_count());
         prop_assert_eq!(prog.total_trace().hop_count(), prog.hop_count());
+    }
+
+    #[test]
+    fn optimized_profile_keeps_the_invariants_and_the_key_set(arch in arch_strategy()) {
+        let net = build(&arch);
+        let faithful = lower_network(&net, 1024, 7);
+        let fast = try_lower_network_with(&net, 1024, 7, LoweringProfile::Optimized)
+            .expect("what lowers faithfully lowers optimized");
+        prop_assert_eq!(fast.layers.len(), net.layer_count());
+
+        // Levels descend from the top, never faster than the faithful
+        // lowering's (no consolidation level), and every op sits between
+        // its layer's entry and exit levels.
+        let mut level = 7usize;
+        for (layer, slow) in fast.layers.iter().zip(&faithful.layers) {
+            prop_assert_eq!(layer.level_in, level, "{} entry level", &layer.name);
+            prop_assert!(layer.level_out < layer.level_in && layer.level_out >= 1);
+            prop_assert!(layer.level_out >= slow.level_out);
+            for rec in layer.trace.records() {
+                prop_assert!(rec.level <= layer.level_in && rec.level >= layer.level_out);
+            }
+            let has_ks = layer.trace.records().iter().any(|r| r.kind.is_key_switch());
+            prop_assert!(layer.class == HeLayerClass::Ks || !has_ks);
+            prop_assert!(
+                layer.trace.count_of(HeOpKind::Rescale) >= layer.level_in - layer.level_out
+            );
+            level = layer.level_out;
+        }
+
+        // HOP accounting is additive and the linear layers switch keys
+        // exactly as often as they rotate or relinearize.
+        let per_layer: usize = fast.layers.iter().map(|l| l.hop_count()).sum();
+        prop_assert_eq!(per_layer, fast.hop_count());
+        prop_assert_eq!(fast.total_trace().hop_count(), fast.hop_count());
+        let trace = fast.total_trace();
+        prop_assert_eq!(
+            trace.key_switch_count(),
+            trace.count_of(HeOpKind::Rotate) + trace.count_of(HeOpKind::Relinearize)
+        );
+
+        // One key set serves both profiles, every step in range.
+        let keys = fast.required_rotations();
+        prop_assert_eq!(&keys, &faithful.required_rotations());
+        for &r in &keys {
+            prop_assert!((1..512).contains(&r), "rotation {r} out of range");
+        }
     }
 
     #[test]

@@ -11,34 +11,61 @@ use fxhenn_nn::{Layer, Network};
 use std::cell::Cell;
 use std::time::Duration;
 
+/// An injected stall: what each station claim costs, and how much the
+/// claims so far have added to the simulator's clock.
+#[derive(Clone, Copy)]
+struct StallClock {
+    per_claim: Duration,
+    charged: Duration,
+}
+
 thread_local! {
-    static STATION_STALL: Cell<Option<Duration>> = const { Cell::new(None) };
+    static STATION_STALL: Cell<Option<StallClock>> = const { Cell::new(None) };
 }
 
 /// Hang-class fault: runs `f` with every simulated station claim on
-/// this thread stalled by `delay` of real wall-clock time, modeling a
-/// module station that never (or pathologically slowly) completes. With
-/// a large `delay` and a trace of thousands of records the simulation
-/// would effectively never finish — which is exactly what the deadline
+/// this thread taking `delay` longer, modeling a module station that
+/// never (or pathologically slowly) completes. The delay is charged to
+/// the clock the simulator's budget checks read, not slept: with a
+/// large `delay` and a trace of thousands of records the simulation
+/// runs far past any deadline — which is exactly what the deadline
 /// tests need: the budgeted simulator must surface a typed `Cancelled`
-/// instead of wedging. The override is thread-local and restored when
-/// `f` returns.
+/// instead of wedging — and it does so on the same record under any
+/// host load. The override is thread-local and restored when `f`
+/// returns.
 pub fn with_station_stall<R>(delay: Duration, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Duration>);
+    struct Restore(Option<StallClock>);
     impl Drop for Restore {
         fn drop(&mut self) {
             STATION_STALL.with(|d| d.set(self.0));
         }
     }
-    let prev = STATION_STALL.with(|d| d.replace(Some(delay)));
+    let clock = StallClock {
+        per_claim: delay,
+        charged: Duration::ZERO,
+    };
+    let prev = STATION_STALL.with(|d| d.replace(Some(clock)));
     let _restore = Restore(prev);
     f()
 }
 
-/// The stall the simulator applies per station claim on this thread
-/// (`None` outside [`with_station_stall`]).
-pub fn station_stall() -> Option<Duration> {
-    STATION_STALL.with(|d| d.get())
+/// True inside [`with_station_stall`] on this thread.
+pub fn station_stall_active() -> bool {
+    STATION_STALL.with(|d| d.get().is_some())
+}
+
+/// Charges one station claim to this thread's injected stall and
+/// returns how far the stall had advanced the clock before it (`None`
+/// outside [`with_station_stall`]).
+pub fn charge_station_stall() -> Option<Duration> {
+    STATION_STALL.with(|d| {
+        let clock = d.get()?;
+        d.set(Some(StallClock {
+            charged: clock.charged + clock.per_claim,
+            ..clock
+        }));
+        Some(clock.charged)
+    })
 }
 
 /// Keeps only the first `keep` bytes of a serialized blob, simulating a

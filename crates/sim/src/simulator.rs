@@ -21,10 +21,9 @@ use fxhenn_nn::{HeCnnProgram, HeLayerPlan};
 
 /// Trace records processed between ambient-budget checks inside one
 /// layer's station simulation. Station claims are nanosecond-scale, so
-/// this bounds the post-deadline overrun without measurable overhead —
-/// except under an injected station stall, where the per-record sleep
-/// dominates and the check still fires within [`STALL_CHECK_INTERVAL`]
-/// stalled records.
+/// this bounds the post-deadline overrun without measurable overhead;
+/// under an injected station stall every record is checked, against a
+/// clock the stall has advanced.
 const STALL_CHECK_INTERVAL: u64 = 64;
 
 /// Simulation result for one layer.
@@ -79,9 +78,11 @@ impl SimReport {
 /// stations, in cycles (before the calibrated overhead factor).
 ///
 /// Checks the ambient execution budget every [`STALL_CHECK_INTERVAL`]
-/// records and applies any injected [`crate::faults::with_station_stall`]
-/// delay per station claim, so a never-completing station surfaces as a
-/// typed [`BudgetStop`] instead of a wedged simulation.
+/// records. An injected [`crate::faults::with_station_stall`] delay is
+/// charged per station claim to the clock those checks read — the stall
+/// is simulated time, not a sleep — so a never-completing station
+/// surfaces as a typed [`BudgetStop`] after the same number of records
+/// on any host.
 fn layer_makespan_cycles(
     plan: &HeLayerPlan,
     point: &DesignPoint,
@@ -92,13 +93,14 @@ fn layer_makespan_cycles(
         std::collections::BTreeMap::new();
     let mut finish = 0u64;
     let total_records = plan.trace.records().len() as u64;
-    let stall = crate::faults::station_stall();
+    let stalling = crate::faults::station_stall_active();
     for (ri, rec) in plan.trace.records().iter().enumerate() {
-        if (ri as u64).is_multiple_of(STALL_CHECK_INTERVAL) || stall.is_some() {
-            budget::check("sim-station", Progress::of(ri as u64, total_records))?;
-        }
-        if let Some(delay) = stall {
-            std::thread::sleep(delay);
+        let progress = Progress::of(ri as u64, total_records);
+        if stalling {
+            let stalled = crate::faults::charge_station_stall().unwrap_or_default();
+            budget::check_at("sim-station", progress, std::time::Instant::now() + stalled)?;
+        } else if (ri as u64).is_multiple_of(STALL_CHECK_INTERVAL) {
+            budget::check("sim-station", progress)?;
         }
         let class = OpClass::from(rec.kind);
         let cfg = point.modules.get(class);
@@ -360,29 +362,32 @@ mod tests {
     #[test]
     fn stalled_station_surfaces_as_cancelled_within_twice_the_deadline() {
         use fxhenn_math::budget::Budget;
-        use std::time::{Duration, Instant};
+        use std::time::Duration;
         let prog = mnist();
         let deadline = Duration::from_millis(50);
-        let t0 = Instant::now();
         // 5 ms per station claim over thousands of trace records would
         // run for minutes; the budget must cut it off at the deadline.
+        // The stall advances the budget's clock rather than sleeping, so
+        // the stop lands on the same record however busy the host is.
         let err = crate::faults::with_station_stall(Duration::from_millis(5), || {
             budget::with_budget(&Budget::with_deadline(deadline), || {
                 try_simulate(&prog, &DesignPoint::minimal(), &FpgaDevice::acu9eg(), 30)
             })
         })
         .unwrap_err();
-        let elapsed = t0.elapsed();
         match err {
             crate::error::SimError::Cancelled(stop) => {
                 assert_eq!(stop.phase, "sim-station");
+                assert!(stop.elapsed >= deadline, "stopped early: {:?}", stop.elapsed);
+                assert!(
+                    stop.elapsed < deadline * 2,
+                    "stopped after {:?}, more than 2x the {deadline:?} deadline",
+                    stop.elapsed
+                );
+                assert!(stop.progress.done <= 11, "ten 5 ms claims reach the deadline");
             }
             other => panic!("expected cancellation, got {other}"),
         }
-        assert!(
-            elapsed < deadline * 2,
-            "stopped after {elapsed:?}, more than 2x the {deadline:?} deadline"
-        );
     }
 
     #[test]

@@ -10,7 +10,9 @@ use fxhenn::ckks::noise::{square_step, NoiseEstimate};
 use fxhenn::ckks::serialize::{decode_ciphertext, encode_ciphertext};
 use fxhenn::ckks::{CkksContext, CkksParams, Decryptor, Encryptor, KeyGenerator};
 use fxhenn::nn::executor::{encrypt_input, HeCnnExecutor};
-use fxhenn::nn::{accuracy, lower_network, train, SyntheticTask, TrainConfig};
+use fxhenn::nn::{
+    accuracy, train, try_lower_network_with, LoweringProfile, SyntheticTask, TrainConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,7 +42,11 @@ fn main() {
     // 3. Client side: keys + encrypted input over the wire.
     println!();
     println!("== 3. encrypt, serialize, ship ==");
-    let prog = lower_network(&net, ctx.degree(), ctx.max_level());
+    // The executor runs the optimized schedule; lower that one so the
+    // plan below is the program actually executed.
+    let prog =
+        try_lower_network_with(&net, ctx.degree(), ctx.max_level(), LoweringProfile::Optimized)
+            .expect("the toy network lowers");
     let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(33));
     let pk = kg.public_key();
     let sk = kg.secret_key();

@@ -17,7 +17,7 @@
 
 use fxhenn::ckks::{CkksContext, CkksParams, Decryptor, Encryptor, KeyGenerator};
 use fxhenn::nn::executor::{encrypt_input, HeCnnExecutor};
-use fxhenn::nn::{fxhenn_mnist, lower_network, synthetic_input};
+use fxhenn::nn::{fxhenn_mnist, lower_network, synthetic_input, LoweringProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -51,7 +51,9 @@ fn full_mnist_inference_at_paper_parameters() {
     println!("encrypt (25 ciphertexts): {:.1} s", t_enc.elapsed().as_secs_f64());
 
     let t_inf = Instant::now();
-    let mut exec = HeCnnExecutor::new(&ctx, &rk, &gks);
+    // Compared with `prog` below: run the schedule it describes.
+    let mut exec =
+        HeCnnExecutor::with_profile(&ctx, &rk, &gks, LoweringProfile::PaperFaithful);
     exec.start_trace();
     let out = exec.run(&net, &input);
     let trace = exec.take_trace().expect("traced");
