@@ -23,8 +23,17 @@
 //!
 //! With no ambient budget installed every check is `Ok(())` and costs
 //! one thread-local read — the unbudgeted hot path stays unchanged.
+//!
+//! # The budget clock
+//!
+//! Budgets read [`now`]: the wall clock plus whatever time injected
+//! faults have charged on this thread. A fault that models a slow
+//! kernel ([`crate::par::with_limb_delay`]) advances that clock instead
+//! of sleeping, so a deadline test stops at the same point whatever the
+//! host's load or the kernels' speed. Outside fault injection nothing is
+//! charged and [`now`] is `Instant::now()`.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -176,7 +185,7 @@ impl Budget {
     /// A budget that never stops anything (checks always pass).
     pub fn unlimited() -> Self {
         Self {
-            started: Instant::now(),
+            started: now(),
             deadline: None,
             token: None,
         }
@@ -185,7 +194,7 @@ impl Budget {
     /// A budget that expires `deadline` after construction.
     pub fn with_deadline(deadline: Duration) -> Self {
         Self {
-            started: Instant::now(),
+            started: now(),
             deadline: Some(deadline),
             token: None,
         }
@@ -201,13 +210,13 @@ impl Budget {
     /// from now. Used by drivers that construct a budget ahead of
     /// dispatching the request it bounds.
     pub fn start(mut self) -> Self {
-        self.started = Instant::now();
+        self.started = now();
         self
     }
 
     /// Time since the budget('s clock) started.
     pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
+        now().saturating_duration_since(self.started)
     }
 
     /// Time left before the deadline (`None` when no deadline is set,
@@ -218,7 +227,7 @@ impl Budget {
 
     /// True when a check would fail right now.
     pub fn is_exhausted(&self) -> bool {
-        self.exhaustion(Instant::now()).is_some()
+        self.exhaustion(now()).is_some()
     }
 
     fn exhaustion(&self, now: Instant) -> Option<StopCause> {
@@ -237,7 +246,7 @@ impl Budget {
     /// a typed [`BudgetStop`] naming `phase` and `progress` once the
     /// token fired or the deadline passed.
     pub fn check(&self, phase: &'static str, progress: Progress) -> Result<(), BudgetStop> {
-        self.check_at(phase, progress, Instant::now())
+        self.check_at(phase, progress, now())
     }
 
     /// [`check`](Self::check) against a caller-supplied clock: the
@@ -270,6 +279,25 @@ impl Default for Budget {
 
 thread_local! {
     static AMBIENT: RefCell<Option<Budget>> = const { RefCell::new(None) };
+    static CHARGED: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
+
+/// The budget clock of the calling thread: the wall clock plus the time
+/// injected faults have charged to it (see the module docs).
+pub fn now() -> Instant {
+    Instant::now() + charged()
+}
+
+/// Time injected faults have charged to this thread's budget clock.
+pub(crate) fn charged() -> Duration {
+    CHARGED.with(Cell::get)
+}
+
+/// Sets the time charged to this thread's budget clock: fault hooks
+/// advance it instead of sleeping and restore it on exit, and spawned
+/// workers inherit the caller's.
+pub(crate) fn set_charged(d: Duration) {
+    CHARGED.with(|c| c.set(d));
 }
 
 /// Runs `f` with `budget` installed as the calling thread's ambient

@@ -268,7 +268,7 @@ impl ShoupMul {
     /// reduced residue — the Shoup quotient error stays below 2 for every
     /// `x < 2^64`, so the lazy product is below `2q` regardless. The NTT
     /// butterflies use this to skip the per-multiplication correction and
-    /// normalize once at the end of the transform.
+    /// normalize in the transform's last stage.
     #[inline]
     pub fn mul_lazy(&self, x: u64) -> u64 {
         let hi = ((x as u128 * self.w_shoup as u128) >> 64) as u64;
@@ -280,8 +280,8 @@ impl ShoupMul {
 /// Number of scalar lanes the unrolled kernels process per iteration.
 ///
 /// The software analogue of the paper's `P_intra` intra-operation
-/// parallelism (DSP lanes inside one basic-operation module): the hot
-/// loops in [`crate::ntt`] and [`crate::poly`] step in blocks of `LANES`
+/// parallelism (DSP lanes inside one basic-operation module): the
+/// pointwise loops in [`crate::poly`] step in blocks of `LANES`
 /// fully independent dependency chains, which is what the autovectorizer
 /// and the out-of-order core both want. Stable Rust only — the lanes are
 /// plain `[u64; LANES]` arrays, no `std::simd`.
@@ -342,18 +342,6 @@ impl ShoupMul {
             self.mul(x[1]),
             self.mul(x[2]),
             self.mul(x[3]),
-        ]
-    }
-
-    /// Four independent [`ShoupMul::mul_lazy`] lanes (results in `[0, 2q)`,
-    /// inputs unrestricted — see [`ShoupMul::mul_lazy`]).
-    #[inline]
-    pub fn mul_lazy_x4(&self, x: [u64; LANES]) -> [u64; LANES] {
-        [
-            self.mul_lazy(x[0]),
-            self.mul_lazy(x[1]),
-            self.mul_lazy(x[2]),
-            self.mul_lazy(x[3]),
         ]
     }
 }
@@ -557,16 +545,6 @@ mod tests {
         );
         let sm = ShoupMul::new(999_983, Q);
         assert_eq!(sm.mul_x4(a), [sm.mul(a[0]), sm.mul(a[1]), sm.mul(a[2]), sm.mul(a[3])]);
-        let wild = [u64::MAX, 3 * Q + 7, 2 * Q - 1, 0];
-        assert_eq!(
-            sm.mul_lazy_x4(wild),
-            [
-                sm.mul_lazy(wild[0]),
-                sm.mul_lazy(wild[1]),
-                sm.mul_lazy(wild[2]),
-                sm.mul_lazy(wild[3])
-            ]
-        );
     }
 
     #[test]

@@ -8,18 +8,24 @@
 //! precomputed twiddles so each butterfly costs one high product, one low
 //! product and a correction — the same arithmetic an FPGA NTT core
 //! implements in DSP slices. Butterflies use Harvey-style lazy reduction
-//! (intermediates in `[0, 4q)` forward / `[0, 2q)` inverse, normalized
-//! once at the end), which removes the data-dependent correction branch
-//! from the hot loop without changing the canonical output.
+//! (intermediates in `[0, 4q)` forward / `[0, 2q)` inverse), and the last
+//! stage of each direction brings its outputs back to canonical `[0, q)`
+//! — the inverse's last stage also multiplies by `N^{-1}` — so neither
+//! transform makes a second pass over the array.
+//!
+//! Every correction is a conditional subtraction whose condition is a
+//! coin flip per element; `csub` compiles it to a select, not a jump
+//! the branch predictor would miss half the time.
 //!
 //! `log2(N)` rounds of `N/2` butterflies each give the latency model of
 //! paper Eq. (4): `LAT_NTT = log2(N) · N / (2 · nc_NTT)` cycles for
 //! `nc_NTT` parallel cores.
 
 use crate::error::MathError;
-use crate::modops::{add_mod, inv_mod, pow_mod, sub_mod, ShoupMul, LANES};
+use crate::modops::{add_mod, inv_mod, mul_mod, pow_mod, sub_mod, ShoupMul};
 use crate::prime::is_prime;
 use fxhenn_obs::{global, Counter};
+use std::hint::select_unpredictable;
 use std::sync::{Arc, OnceLock};
 
 /// Always-on counts of executed transforms, one per limb transformed:
@@ -56,6 +62,8 @@ pub struct NttTable {
     inv: Vec<ShoupMul>,
     /// N^{-1} mod q in Shoup form, folded into the last inverse stage.
     n_inv: ShoupMul,
+    /// The last inverse stage's one twiddle times N^{-1}: `inv[1]·N^{-1}`.
+    n_inv_w: ShoupMul,
     /// The primitive 2N-th root of unity used to build the tables.
     psi: u64,
 }
@@ -108,13 +116,15 @@ impl NttTable {
             fwd.push(ShoupMul::new(pow_mod(psi, r, q), q));
             inv.push(ShoupMul::new(pow_mod(psi_inv, r, q), q));
         }
-        let n_inv = ShoupMul::new(inv_mod(n as u64, q), q);
+        let n_inv = inv_mod(n as u64, q);
+        let n_inv_w = ShoupMul::new(mul_mod(inv[1].operand(), n_inv, q), q);
         Self {
             n,
             q,
             fwd,
             inv,
-            n_inv,
+            n_inv: ShoupMul::new(n_inv, q),
+            n_inv_w,
             psi,
         }
     }
@@ -138,11 +148,11 @@ impl NttTable {
     }
 
     /// In-place forward negacyclic NTT (coefficient → evaluation domain).
+    /// Output slot `i` holds `a(ψ^{2·brv(i)+1})`, canonical in `[0, q)`.
     ///
-    /// The inner butterfly loop steps in [`LANES`]-wide blocks of fully
-    /// independent lazy butterflies (the software `P_intra`); stages with
-    /// `t < LANES` and remainders take the scalar path. Bit-identical to
-    /// [`NttTable::forward_scalar`].
+    /// Cooley–Tukey stages with the Harvey lazy butterfly: inputs below
+    /// `4q` in, outputs below `4q` out (`q < 2^62` keeps `4q` in a `u64`).
+    /// The last stage reduces its outputs to `[0, q)` itself.
     ///
     /// # Panics
     ///
@@ -152,103 +162,35 @@ impl NttTable {
         transform_counters().forward.inc();
         let q = self.q;
         let two_q = 2 * q;
-        let mut t = self.n;
-        let mut m = 1usize;
-        while m < self.n {
-            t >>= 1;
-            for i in 0..m {
-                let w = &self.fwd[m + i];
-                let block = &mut a[2 * i * t..2 * (i + 1) * t];
+        let (mut m, mut t) = (1, self.n / 2);
+        while t > 1 {
+            for (block, w) in a.chunks_exact_mut(2 * t).zip(&self.fwd[m..2 * m]) {
                 let (lo, hi) = block.split_at_mut(t);
-                let mut lo4 = lo.chunks_exact_mut(LANES);
-                let mut hi4 = hi.chunks_exact_mut(LANES);
-                for (xs, ys) in (&mut lo4).zip(&mut hi4) {
-                    // Harvey lazy butterfly, four independent lanes:
-                    // inputs < 4q in, outputs < 4q out; the only
-                    // correction is one conditional subtraction of 2q on
-                    // `u` (q < 2^62 keeps 4q in u64).
-                    let mut u = [xs[0], xs[1], xs[2], xs[3]];
-                    for lane in &mut u {
-                        if *lane >= two_q {
-                            *lane -= two_q;
-                        }
-                    }
-                    let v = w.mul_lazy_x4([ys[0], ys[1], ys[2], ys[3]]); // < 2q
-                    for k in 0..LANES {
-                        xs[k] = u[k] + v[k]; // < 4q
-                        ys[k] = u[k] + two_q - v[k]; // < 4q
-                    }
-                }
-                for (x, y) in lo4.into_remainder().iter_mut().zip(hi4.into_remainder()) {
-                    let mut u = *x;
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let v = w.mul_lazy(*y);
-                    *x = u + v;
-                    *y = u + two_q - v;
-                }
-            }
-            m <<= 1;
-        }
-        // Normalize from the lazy range [0, 4q) back to canonical [0, q).
-        for x in a.iter_mut() {
-            let mut v = *x;
-            if v >= two_q {
-                v -= two_q;
-            }
-            if v >= q {
-                v -= q;
-            }
-            *x = v;
-        }
-    }
-
-    /// Scalar reference forward transform: the textbook per-butterfly
-    /// loop the lane-unrolled [`NttTable::forward`] is checked against
-    /// bit-for-bit in tests. Not used on the hot path.
-    pub fn forward_scalar(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "input length must equal ring degree");
-        transform_counters().forward.inc();
-        let q = self.q;
-        let two_q = 2 * q;
-        let mut t = self.n;
-        let mut m = 1usize;
-        while m < self.n {
-            t >>= 1;
-            for i in 0..m {
-                let w = &self.fwd[m + i];
-                let block = &mut a[2 * i * t..2 * (i + 1) * t];
-                let (lo, hi) = block.split_at_mut(t);
-                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let mut u = *x;
-                    if u >= two_q {
-                        u -= two_q;
-                    }
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let u = csub(*x, two_q); // < 2q
                     let v = w.mul_lazy(*y); // < 2q
                     *x = u + v; // < 4q
                     *y = u + two_q - v; // < 4q
                 }
             }
             m <<= 1;
+            t >>= 1;
         }
-        for x in a.iter_mut() {
-            let mut v = *x;
-            if v >= two_q {
-                v -= two_q;
-            }
-            if v >= q {
-                v -= q;
-            }
-            *x = v;
+        for (pair, w) in a.chunks_exact_mut(2).zip(&self.fwd[m..]) {
+            let u = csub(pair[0], two_q);
+            let v = w.mul_lazy(pair[1]);
+            pair[0] = csub(csub(u + v, two_q), q);
+            pair[1] = csub(csub(u + two_q - v, two_q), q);
         }
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient domain),
-    /// including the `N^{-1}` scaling.
+    /// including the `N^{-1}` scaling; outputs canonical in `[0, q)`.
     ///
-    /// Lane-unrolled like [`NttTable::forward`]; bit-identical to
-    /// [`NttTable::inverse_scalar`].
+    /// Gentleman–Sande stages with the lazy butterfly: inputs below `2q`
+    /// in, outputs below `2q` out (`u + 2q − v < 4q` is a fine lazy
+    /// multiplier input). The last stage has one twiddle `w`, so `N^{-1}`
+    /// folds into it as `x = (u + v)·N^{-1}` and `y = (u − v)·(w·N^{-1})`.
     ///
     /// # Panics
     ///
@@ -258,101 +200,36 @@ impl NttTable {
         transform_counters().inverse.inc();
         let q = self.q;
         let two_q = 2 * q;
-        let mut t = 1usize;
-        let mut m = self.n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let w = &self.inv[h + i];
-                let block = &mut a[j1..j1 + 2 * t];
+        let (mut h, mut t) = (self.n / 2, 1);
+        while h > 1 {
+            for (block, w) in a.chunks_exact_mut(2 * t).zip(&self.inv[h..2 * h]) {
                 let (lo, hi) = block.split_at_mut(t);
-                let mut lo4 = lo.chunks_exact_mut(LANES);
-                let mut hi4 = hi.chunks_exact_mut(LANES);
-                for (xs, ys) in (&mut lo4).zip(&mut hi4) {
-                    // Lazy Gentleman–Sande butterfly, four independent
-                    // lanes: inputs < 2q in, outputs < 2q out
-                    // (`u + 2q - v < 4q` is fine as a lazy multiplier
-                    // input).
-                    let u = [xs[0], xs[1], xs[2], xs[3]];
-                    let v = [ys[0], ys[1], ys[2], ys[3]];
-                    let mut d = [0u64; LANES];
-                    for k in 0..LANES {
-                        let mut s = u[k] + v[k]; // < 4q
-                        if s >= two_q {
-                            s -= two_q;
-                        }
-                        xs[k] = s; // < 2q
-                        d[k] = u[k] + two_q - v[k];
-                    }
-                    let prod = w.mul_lazy_x4(d); // < 2q
-                    ys.copy_from_slice(&prod);
-                }
-                for (x, y) in lo4.into_remainder().iter_mut().zip(hi4.into_remainder()) {
-                    let u = *x;
-                    let v = *y;
-                    let mut s = u + v;
-                    if s >= two_q {
-                        s -= two_q;
-                    }
-                    *x = s;
-                    *y = w.mul_lazy(u + two_q - v);
-                }
-                j1 += 2 * t;
-            }
-            t <<= 1;
-            m = h;
-        }
-        // Fold in N^{-1} and normalize from [0, 2q) to canonical [0, q).
-        let mut a4 = a.chunks_exact_mut(LANES);
-        for xs in &mut a4 {
-            let v = self.n_inv.mul_lazy_x4([xs[0], xs[1], xs[2], xs[3]]);
-            for k in 0..LANES {
-                xs[k] = if v[k] >= q { v[k] - q } else { v[k] };
-            }
-        }
-        for x in a4.into_remainder() {
-            let v = self.n_inv.mul_lazy(*x);
-            *x = if v >= q { v - q } else { v };
-        }
-    }
-
-    /// Scalar reference inverse transform (see
-    /// [`NttTable::forward_scalar`]).
-    pub fn inverse_scalar(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "input length must equal ring degree");
-        transform_counters().inverse.inc();
-        let q = self.q;
-        let two_q = 2 * q;
-        let mut t = 1usize;
-        let mut m = self.n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let w = &self.inv[h + i];
-                let block = &mut a[j1..j1 + 2 * t];
-                let (lo, hi) = block.split_at_mut(t);
-                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let u = *x;
-                    let v = *y;
-                    let mut s = u + v; // < 4q
-                    if s >= two_q {
-                        s -= two_q;
-                    }
-                    *x = s; // < 2q
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let (u, v) = (*x, *y);
+                    *x = csub(u + v, two_q); // < 2q
                     *y = w.mul_lazy(u + two_q - v); // < 2q
                 }
-                j1 += 2 * t;
             }
+            h >>= 1;
             t <<= 1;
-            m = h;
         }
-        for x in a.iter_mut() {
-            let v = self.n_inv.mul_lazy(*x);
-            *x = if v >= q { v - q } else { v };
+        let (lo, hi) = a.split_at_mut(t);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let (u, v) = (*x, *y);
+            *x = csub(self.n_inv.mul_lazy(u + v), q);
+            *y = csub(self.n_inv_w.mul_lazy(u + two_q - v), q);
         }
     }
+}
+
+/// `x − m` when `x ≥ m`, else `x`, as a select rather than a branch.
+/// Whether a lazy residue crosses `m` is a coin flip per element, and the
+/// NTT loops do not vectorise, so a branch here mispredicts about half the
+/// time. Only for such loops: where LLVM vectorises (the pointwise
+/// kernels, `poly::lift_limb`), a plain `if` is as fast or faster.
+#[inline(always)]
+fn csub(x: u64, m: u64) -> u64 {
+    select_unpredictable(x >= m, x.wrapping_sub(m), x)
 }
 
 /// Reverses the low `bits` bits of `x`.
@@ -437,45 +314,69 @@ mod tests {
         }
     }
 
+    /// `a(x) mod q` by Horner's rule.
+    fn eval_at(a: &[u64], x: u64, q: u64) -> u64 {
+        a.iter()
+            .rev()
+            .fold(0, |acc, &c| add_mod(mul_mod(acc, x, q), c, q))
+    }
+
     #[test]
-    fn lane_unrolled_transforms_match_scalar_reference_bit_for_bit() {
+    fn forward_evaluates_at_odd_powers_of_psi_in_bit_reversed_order() {
+        // The oracle shares no code with the butterflies: slot i of the
+        // transform is the polynomial evaluated directly, in O(n²), at
+        // ψ^{2·brv(i)+1}. Widths span the lazy ranges up to the 2^62 bound.
         let mut rng = StdRng::seed_from_u64(11);
-        // Degrees below, at and far above the lane width, odd-shaped
-        // stage mixes included.
-        for n in [2usize, 4, 8, 16, 64, 256, 1024, 4096] {
-            let q = generate_ntt_primes(30, n, 1)[0];
-            let table = NttTable::new(n, q);
-            let original = random_poly(n, q, &mut rng);
-
-            let mut fast = original.clone();
-            let mut reference = original.clone();
-            table.forward(&mut fast);
-            table.forward_scalar(&mut reference);
-            assert_eq!(fast, reference, "forward n={n}");
-
-            table.inverse(&mut fast);
-            table.inverse_scalar(&mut reference);
-            assert_eq!(fast, reference, "inverse n={n}");
-            assert_eq!(fast, original, "roundtrip n={n}");
+        for bits in [30u32, 45, 61] {
+            for n in [2usize, 4, 8, 16, 64] {
+                let q = generate_ntt_primes(bits, n, 1)[0];
+                let table = NttTable::new(n, q);
+                let log_n = n.trailing_zeros();
+                let original = random_poly(n, q, &mut rng);
+                let mut a = original.clone();
+                table.forward(&mut a);
+                for (i, &got) in a.iter().enumerate() {
+                    let e = 2 * bit_reverse(i as u64, log_n) + 1;
+                    let want = eval_at(&original, pow_mod(table.root(), e, q), q);
+                    assert_eq!(got, want, "forward n={n} q={q} slot {i}");
+                }
+                table.inverse(&mut a);
+                assert_eq!(a, original, "inverse n={n} q={q}");
+            }
         }
     }
 
     #[test]
-    fn lane_unrolled_transforms_match_scalar_at_62_bit_modulus() {
-        // The lazy ranges are tightest near the 2^62 modulus bound; the
-        // lane path must agree with the scalar reference there too.
-        let mut rng = StdRng::seed_from_u64(13);
-        let n = 128;
+    fn worst_case_lazy_inputs_at_61_bits() {
+        // All q − 1 and alternating 0 / q − 1 push every lazy intermediate
+        // to the top of its range; a debug build checks each sum for
+        // overflow on the way.
+        let n = 4096;
         let q = generate_ntt_primes(61, n, 1)[0];
         let table = NttTable::new(n, q);
-        let mut fast = random_poly(n, q, &mut rng);
-        let mut reference = fast.clone();
-        table.forward(&mut fast);
-        table.forward_scalar(&mut reference);
-        assert_eq!(fast, reference);
-        table.inverse(&mut fast);
-        table.inverse_scalar(&mut reference);
-        assert_eq!(fast, reference);
+        let all_max = vec![q - 1; n];
+        let alternating: Vec<u64> = (0..n).map(|i| if i % 2 == 0 { 0 } else { q - 1 }).collect();
+        for input in [&all_max, &alternating] {
+            let mut a = input.clone();
+            table.forward(&mut a);
+            assert!(a.iter().all(|&x| x < q), "forward output must be canonical");
+            table.inverse(&mut a);
+            assert_eq!(&a, input, "coefficient-domain round trip");
+            table.inverse(&mut a);
+            table.forward(&mut a);
+            assert_eq!(&a, input, "evaluation-domain round trip");
+        }
+        let mut fa = all_max.clone();
+        let mut fb = alternating.clone();
+        table.forward(&mut fa);
+        table.forward(&mut fb);
+        let mut fc: Vec<u64> = fa
+            .iter()
+            .zip(&fb)
+            .map(|(&x, &y)| mul_mod(x, y, q))
+            .collect();
+        table.inverse(&mut fc);
+        assert_eq!(fc, negacyclic_mul_naive(&all_max, &alternating, q));
     }
 
     #[test]

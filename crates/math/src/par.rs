@@ -4,10 +4,10 @@
 //! intra-operation parallelism in DSP slices (Sec. III, Table I); the
 //! software mirror of that is two distinct layers:
 //!
-//! * **Lanes** (`P_intra`): the 4-wide unrolled butterflies and
-//!   pointwise kernels in [`crate::ntt`] / [`crate::modops`] /
-//!   [`crate::poly`] keep the *serial* path fast. They live below this
-//!   module and never involve threads.
+//! * **Lanes** (`P_intra`): the branch-free NTT butterflies in
+//!   [`crate::ntt`] and the 4-wide pointwise kernels in
+//!   [`crate::modops`] / [`crate::poly`] keep the *serial* path fast.
+//!   They live below this module and never involve threads.
 //! * **Coarse grain** (`nc_NTT`): OS threads are only worth spawning
 //!   when each unit of work is large enough to amortise scope
 //!   setup/teardown (a scoped `std::thread` spawn costs tens of
@@ -55,7 +55,6 @@
 //! [`Parallelism::Serial`]), everything runs inline on the caller's
 //! thread and this module adds zero overhead.
 
-#[cfg(feature = "parallel")]
 use crate::budget;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -372,25 +371,29 @@ thread_local! {
 }
 
 /// Fault-injection hook: runs `f` with every limb-scheduling call
-/// ([`for_each_indexed`] / [`map_indexed`]) on this thread artificially
-/// delayed by `delay` before dispatching its work. Models a slow or
-/// contended kernel so deadline tests can hang the hot path on purpose;
-/// the override is thread-local and restored afterwards.
+/// ([`for_each_indexed`] / [`map_indexed`]) on this thread taking
+/// `delay` longer. Models a slow or contended kernel so deadline tests
+/// can hang the hot path on purpose. The delay is charged to the budget
+/// clock ([`budget::now`]), not slept, so a budgeted run stops after the
+/// same scheduling points however fast the kernels are and however
+/// loaded the host is. The override and the time it charged are
+/// thread-local and restored afterwards.
 pub fn with_limb_delay<R>(delay: Duration, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Duration>);
+    struct Restore(Option<Duration>, Duration);
     impl Drop for Restore {
         fn drop(&mut self) {
             LIMB_DELAY.with(|d| d.set(self.0));
+            budget::set_charged(self.1);
         }
     }
     let prev = LIMB_DELAY.with(|d| d.replace(Some(delay)));
-    let _restore = Restore(prev);
+    let _restore = Restore(prev, budget::charged());
     f()
 }
 
 fn injected_limb_delay() {
     if let Some(d) = LIMB_DELAY.with(|d| d.get()) {
-        std::thread::sleep(d);
+        budget::set_charged(budget::charged() + d);
     }
 }
 
@@ -456,11 +459,12 @@ pub fn planned_threads(items: usize, grain_elems: usize) -> usize {
 
 /// Caller context captured at the dispatch point and re-installed inside
 /// every spawned worker, so deep callees observe the caller's ambient
-/// budget, scheduling-mode pin and threshold override exactly as if they
-/// ran inline.
+/// budget and budget clock, scheduling-mode pin and threshold override
+/// exactly as if they ran inline.
 #[cfg(feature = "parallel")]
 struct Ambient {
     budget: Option<budget::Budget>,
+    charged: Duration,
     mode: Option<usize>,
     threshold: Option<u64>,
 }
@@ -470,6 +474,7 @@ impl Ambient {
     fn capture() -> Self {
         Self {
             budget: budget::current(),
+            charged: budget::charged(),
             mode: LOCAL_MODE.with(|m| m.get()),
             threshold: LOCAL_THRESHOLD.with(|t| t.get()),
         }
@@ -481,6 +486,7 @@ impl Ambient {
         // dispatch calls inside `f` see the caller's overrides.
         LOCAL_MODE.with(|m| m.set(self.mode));
         LOCAL_THRESHOLD.with(|t| t.set(self.threshold));
+        budget::set_charged(self.charged);
         match &self.budget {
             Some(b) => budget::with_budget(b, f),
             None => f(),
@@ -790,12 +796,32 @@ mod tests {
 
     #[test]
     fn limb_delay_is_applied_and_restored() {
+        use crate::budget::{Budget, Progress};
+        // An hour per scheduling point: sleeping it would hang the test,
+        // charging it to the budget clock takes no time.
+        let hour = Duration::from_secs(3600);
+        let b = Budget::with_deadline(hour + hour / 2);
         let t0 = std::time::Instant::now();
-        with_limb_delay(Duration::from_millis(5), || {
+        with_limb_delay(hour, || {
             let mut v = vec![0u64; 3];
             for_each_indexed(&mut v, 1, |i, x| *x = i as u64);
+            assert!(b.check("limb", Progress::done(1)).is_ok());
+            assert!(b.elapsed() >= hour);
+            let _ = map_indexed(2, 1, |i| i);
+            let stop = b.check("limb", Progress::done(2)).unwrap_err();
+            assert!(stop.elapsed >= 2 * hour);
         });
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-        assert!(LIMB_DELAY.with(|d| d.get()).is_none(), "delay must not leak");
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "the delay must not sleep"
+        );
+        assert!(
+            LIMB_DELAY.with(|d| d.get()).is_none(),
+            "delay must not leak"
+        );
+        assert!(
+            b.check("after", Progress::done(2)).is_ok(),
+            "charged time must not leak"
+        );
     }
 }

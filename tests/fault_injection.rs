@@ -402,9 +402,11 @@ fn delayed_limb_kernel_is_cancelled_within_twice_the_deadline() {
         let input =
             try_encrypt_input(&net, &image, &mut enc, ctx.degree() / 2).expect("packs");
         let mut exec = HeCnnExecutor::new(&ctx, &rk, &gks);
-        // Every limb-parallel scheduling point pays 2 ms: the HE
-        // execution that normally finishes well under the deadline now
-        // crawls, and the per-op budget gate must stop it.
+        // Every limb-parallel scheduling point charges 2 ms to the
+        // budget clock: the HE execution that normally finishes well
+        // under the deadline now crawls, and the per-op budget gate must
+        // stop it. The delay is not slept, so where it stops does not
+        // depend on the kernels' speed or the host's load.
         with_limb_delay(Duration::from_millis(2), || {
             with_budget(&Budget::with_deadline(deadline), || {
                 exec.try_run(&net, &input)
