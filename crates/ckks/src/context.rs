@@ -488,13 +488,44 @@ impl CkksContext {
         Ok(())
     }
 
+    /// The extended basis of a key with `digits` digits of `limbs` limbs
+    /// each: primes `0..l`, then the specials, for the level
+    /// `l = limbs − s` the limbs imply. A key is well formed at any level
+    /// `1 ≤ l ≤ L` with `active_digits(l)` digits.
+    fn key_basis(&self, digits: usize, limbs: usize) -> Result<Vec<u64>, EvalError> {
+        let level = limbs
+            .checked_sub(self.specials.len())
+            .filter(|l| (1..=self.max_level()).contains(l))
+            .ok_or(EvalError::CorruptKeyMaterial {
+                what: "key level outside the context's modulus chain",
+            })?;
+        if digits != self.active_digits(level) {
+            return Err(EvalError::CorruptKeyMaterial {
+                what: "digit count differs from the key's level",
+            });
+        }
+        Ok(self.extended_moduli_at(level))
+    }
+
+    /// A relinearization key must reach the top level: ciphertexts of
+    /// every level are relinearized with it.
+    fn require_top_level(&self, limbs: usize) -> Result<(), EvalError> {
+        if limbs != self.max_level() + self.specials.len() {
+            return Err(EvalError::CorruptKeyMaterial {
+                what: "relinearization key below the top level",
+            });
+        }
+        Ok(())
+    }
+
     /// Checks that a (possibly deserialized) key-switching key is
-    /// semantically valid for this context: the expected digit count,
-    /// every digit over the full extended basis (all coefficient primes
-    /// plus the special prime) at the context's degree, and every
-    /// residue word reduced modulo its prime. The same transport-
-    /// corruption gap [`validate_ciphertext`](Self::validate_ciphertext)
-    /// closes for ciphertexts, closed for key material.
+    /// semantically valid for this context: a level `1 ≤ l ≤ L` (its
+    /// limbs less the special primes), `active_digits(l)` digits, every
+    /// digit over the level-`l` extended basis at the context's degree,
+    /// and every residue word reduced modulo its prime. The same
+    /// transport-corruption gap
+    /// [`validate_ciphertext`](Self::validate_ciphertext) closes for
+    /// ciphertexts, closed for key material.
     ///
     /// # Errors
     ///
@@ -503,12 +534,7 @@ impl CkksContext {
         &self,
         ksk: &crate::keys::KeySwitchKey,
     ) -> Result<(), EvalError> {
-        if ksk.digit_count() != self.key_switch_digits() {
-            return Err(EvalError::CorruptKeyMaterial {
-                what: "digit count differs from the context",
-            });
-        }
-        let ext = self.extended_moduli_at(self.max_level());
+        let ext = self.key_basis(ksk.digit_count(), ksk.limb_count())?;
         for (b, a) in &ksk.digits {
             for poly in [b, a] {
                 if poly.degree() != self.degree() {
@@ -518,7 +544,7 @@ impl CkksContext {
                 }
                 if poly.level_count() != ext.len() {
                     return Err(EvalError::CorruptKeyMaterial {
-                        what: "digit not over the full extended basis",
+                        what: "digit polynomials differ in width",
                     });
                 }
                 for (i, &q) in ext.iter().enumerate() {
@@ -534,17 +560,20 @@ impl CkksContext {
     }
 
     /// Validates a relinearization key (see
-    /// [`validate_key_switch_key`](Self::validate_key_switch_key)).
+    /// [`validate_key_switch_key`](Self::validate_key_switch_key)), which
+    /// must also reach the top level.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::CorruptKeyMaterial`] naming the failed check.
     pub fn validate_relin_key(&self, rk: &crate::keys::RelinKey) -> Result<(), EvalError> {
-        self.validate_key_switch_key(&rk.0)
+        self.validate_key_switch_key(&rk.0)?;
+        self.require_top_level(rk.0.limb_count())
     }
 
     /// Validates every key in a Galois key set (see
-    /// [`validate_key_switch_key`](Self::validate_key_switch_key)).
+    /// [`validate_key_switch_key`](Self::validate_key_switch_key)); the
+    /// keys may be cut to different levels.
     ///
     /// # Errors
     ///
@@ -568,23 +597,13 @@ impl CkksContext {
     /// Returns [`EvalError::CorruptKeyMaterial`] naming the failed check.
     pub fn validate_key_switch_ref(&self, ksk: &crate::wire::KskRef<'_>) -> Result<(), EvalError> {
         use fxhenn_math::PolyLimbs;
-        if ksk.digit_count() != self.key_switch_digits() {
-            return Err(EvalError::CorruptKeyMaterial {
-                what: "digit count differs from the context",
-            });
-        }
-        let ext = self.extended_moduli_at(self.max_level());
+        let ext = self.key_basis(ksk.digit_count(), ksk.level_count())?;
         for j in 0..ksk.digit_count() {
             let (b, a) = ksk.digit(j);
             for poly in [&b, &a] {
                 if poly.degree() != self.degree() {
                     return Err(EvalError::CorruptKeyMaterial {
                         what: "polynomial degree differs from the context",
-                    });
-                }
-                if poly.level_count() != ext.len() {
-                    return Err(EvalError::CorruptKeyMaterial {
-                        what: "digit not over the full extended basis",
                     });
                 }
                 for (i, &q) in ext.iter().enumerate() {
@@ -600,7 +619,8 @@ impl CkksContext {
     }
 
     /// Validates a relinearization-key view in place (see
-    /// [`validate_key_switch_ref`](Self::validate_key_switch_ref)).
+    /// [`validate_key_switch_ref`](Self::validate_key_switch_ref)), which
+    /// must also reach the top level.
     ///
     /// # Errors
     ///
@@ -609,7 +629,8 @@ impl CkksContext {
         &self,
         rk: &crate::wire::RelinKeyView<'_>,
     ) -> Result<(), EvalError> {
-        self.validate_key_switch_ref(&rk.ksk())
+        self.validate_key_switch_ref(&rk.ksk())?;
+        self.require_top_level(rk.ksk().level_count())
     }
 
     /// Validates every key in a Galois-key view in place (see

@@ -77,6 +77,16 @@ pub enum EvalError {
         /// The requested left-rotation step count.
         steps: usize,
     },
+    /// The Galois key for a rotation step was cut below the level of the
+    /// ciphertext it was asked to rotate.
+    GaloisKeyTooShallow {
+        /// The requested left-rotation step count.
+        steps: usize,
+        /// The highest level the key reaches.
+        key_level: usize,
+        /// The ciphertext's level.
+        level: usize,
+    },
     /// A value to encode is NaN or infinite.
     NonFiniteValue {
         /// Slot index of the offending value.
@@ -164,6 +174,15 @@ impl fmt::Display for EvalError {
             EvalError::MissingGaloisKey { steps } => {
                 write!(f, "missing Galois key for rotation by {steps}")
             }
+            EvalError::GaloisKeyTooShallow {
+                steps,
+                key_level,
+                level,
+            } => write!(
+                f,
+                "Galois key for rotation by {steps} reaches level {key_level}, \
+                 the ciphertext is at level {level}"
+            ),
             EvalError::NonFiniteValue { index } => {
                 write!(f, "non-finite value at slot {index} cannot be encoded")
             }

@@ -842,8 +842,10 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Fails if the ciphertext is not linear or the required Galois key
-    /// is missing, or when the ambient budget has stopped.
+    /// Fails if the ciphertext is not linear, the required Galois key is
+    /// missing or cut below the ciphertext's level (see
+    /// [`GaloisKeys::rotation_key`]), or when the ambient budget has
+    /// stopped.
     pub fn rotate(
         &mut self,
         ct: &Ciphertext,
@@ -859,7 +861,7 @@ impl<'a> Evaluator<'a> {
         if g == 1 {
             return Ok(ct.clone());
         }
-        let key = gks.key(g).ok_or(EvalError::MissingGaloisKey { steps })?;
+        let key = gks.rotation_key(self.ctx, steps, ct.level())?;
         self.apply_galois(ct, None, g, key, HeOpKind::Rotate, started)
     }
 
@@ -905,8 +907,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Fails if the required Galois key is missing, or when the ambient
-    /// budget has stopped.
+    /// Fails as [`rotate`](Evaluator::rotate) does on the key, or when
+    /// the ambient budget has stopped.
     pub fn rotate_hoisted(
         &mut self,
         h: &HoistedDigits<'_>,
@@ -919,7 +921,7 @@ impl<'a> Evaluator<'a> {
         if g == 1 {
             return Ok(h.ct.clone());
         }
-        let key = gks.key(g).ok_or(EvalError::MissingGaloisKey { steps })?;
+        let key = gks.rotation_key(self.ctx, steps, h.ct.level())?;
         self.apply_galois(h.ct, Some(&h.limbs), g, key, HeOpKind::Rotate, started)
     }
 
@@ -927,7 +929,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// For real-valued slot data this is (up to noise) the identity; it
     /// exists to support complex-slot pipelines and to cancel imaginary
-    /// noise components.
+    /// noise components. `key` must reach the ciphertext's level, as the
+    /// top-level key of [`crate::KeyGenerator::conjugation_key`] does.
     ///
     /// # Errors
     ///
@@ -1033,9 +1036,11 @@ impl<'a> Evaluator<'a> {
     /// `P`. Runs target-limb-outermost: a limb's `dnum` digit residues
     /// are all that is materialised at once (expanded on the spot, or
     /// borrowed from a hoist), and both inner products accumulate lazily
-    /// in one pass over them. Target limbs are independent, so workers
-    /// take contiguous runs of them — each with its own digit buffer —
-    /// and the result is bit-identical to the inline loop.
+    /// in one pass over them against the key limb of the same prime
+    /// ([`KeySwitchKey::limb_for`]; `ksk` reaches at least level `l`).
+    /// Target limbs are independent, so workers take contiguous runs of
+    /// them — each with its own digit buffer — and the result is
+    /// bit-identical to the inline loop.
     fn inner_product_mod_down(
         &mut self,
         digits: Digits<'_>,
@@ -1073,12 +1078,13 @@ impl<'a> Evaluator<'a> {
                         }
                         Digits::Hoisted(limbs, perm) => (&limbs[t], Some(perm)),
                     };
-                    let idx = ctx.extended_index(l, t);
                     let a: Vec<&[u64]> = (0..active).map(|j| residues.component(j)).collect();
                     let keys = &ksk.digits[..active];
-                    let b0: Vec<&[u64]> = keys.iter().map(|(b, _)| b.component(idx)).collect();
-                    let b1: Vec<&[u64]> = keys.iter().map(|(_, a)| a.component(idx)).collect();
-                    dot2_lazy(&a, perm, &b0, &b1, ctx.reducer(idx), out0, out1);
+                    let k = ksk.limb_for(ctx, l, t);
+                    let b0: Vec<&[u64]> = keys.iter().map(|(b, _)| b.component(k)).collect();
+                    let b1: Vec<&[u64]> = keys.iter().map(|(_, a)| a.component(k)).collect();
+                    let red = ctx.reducer(ctx.extended_index(l, t));
+                    dot2_lazy(&a, perm, &b0, &b1, red, out0, out1);
                 }
             },
         );

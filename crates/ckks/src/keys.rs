@@ -4,17 +4,22 @@
 //! (`dnum = L`) and a single special prime `p`. The gadget element for
 //! digit `i` is `g_i = p · Q̂_i · [Q̂_i^{-1}]_{q_i}`, whose RNS residues
 //! are simply `p mod q_i` at position `i` and zero everywhere else — so a
-//! level-`L` key serves every lower level by restriction, the property
-//! the paper's inter-layer module reuse relies on (a single KeySwitch
-//! module instance handles ciphertexts of any level).
+//! level-`l` key serves every level up to `l` by restriction, the
+//! property the paper's inter-layer module reuse relies on (a single
+//! KeySwitch module instance handles ciphertexts of any level). The same
+//! restriction is why a key only ever needs to reach the highest level it
+//! is used at: [`KeyGenerator::galois_keys_at`] cuts each Galois key
+//! there (DESIGN.md §15).
 
 use crate::context::CkksContext;
+use crate::error::EvalError;
 use fxhenn_math::poly::{Domain, RnsPoly};
 use fxhenn_math::sampling::{
     sample_gaussian, sample_ternary, sample_uniform, small_to_rns, STANDARD_SIGMA,
 };
 use rand::Rng;
 use std::collections::HashMap;
+use std::ops::Deref;
 
 /// The ternary secret key, stored in NTT form over the full extended
 /// basis (all coefficient primes plus the special prime).
@@ -35,6 +40,14 @@ impl SecretKey {
     pub(crate) fn full(&self) -> &RnsPoly {
         &self.s
     }
+
+    /// The secret over the level-`l` extended basis: primes `0..l`, then
+    /// the special primes.
+    fn extended_at(&self, ctx: &CkksContext, l: usize) -> RnsPoly {
+        let limbs = l + ctx.special_moduli().len();
+        let indices: Vec<usize> = (0..limbs).map(|pos| ctx.extended_index(l, pos)).collect();
+        self.s.select_components(&indices)
+    }
 }
 
 /// The encryption public key `(b, a) = (-a·s + e, a)` at the top level.
@@ -44,20 +57,46 @@ pub struct PublicKey {
     pub(crate) a: RnsPoly,
 }
 
-/// One key-switching key: `L` digit pairs `(b_i, a_i)` over the extended
-/// basis, in NTT form.
+/// One key-switching key of level `l`: `active_digits(l)` digit pairs
+/// `(b_j, a_j)` in NTT form over the level-`l` extended basis (primes
+/// `0..l`, then the special primes). It switches ciphertexts at every
+/// level up to `l`; a full key has `l = L`.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     pub(crate) digits: Vec<(RnsPoly, RnsPoly)>,
 }
 
 impl KeySwitchKey {
-    /// Number of digits (`= L`, one per coefficient prime).
+    /// Number of digits (`active_digits` of the key's level).
     pub fn digit_count(&self) -> usize {
         self.digits.len()
     }
 
-    /// Digit `j` as `(b_j, a_j)`, NTT form over the full extended basis
+    /// Residue limbs per digit polynomial: the key's level plus the
+    /// special primes.
+    pub fn limb_count(&self) -> usize {
+        self.digits.first().map_or(0, |(b, _)| b.level_count())
+    }
+
+    /// The highest ciphertext level this key switches under `ctx`: its
+    /// limbs less the special primes.
+    pub fn level(&self, ctx: &CkksContext) -> usize {
+        self.limb_count().saturating_sub(ctx.special_moduli().len())
+    }
+
+    /// The limb of this key that pairs with limb `t` of the level-`l`
+    /// extended basis, for `l` up to the key's level: limb `t` itself
+    /// below `l`, otherwise the same special prime, which follows the
+    /// key's own primes.
+    pub(crate) fn limb_for(&self, ctx: &CkksContext, l: usize, t: usize) -> usize {
+        if t < l {
+            t
+        } else {
+            self.level(ctx) + (t - l)
+        }
+    }
+
+    /// Digit `j` as `(b_j, a_j)`, NTT form over the key's extended basis
     /// (the owned twin of [`crate::wire::KskRef::digit`]).
     ///
     /// # Panics
@@ -102,9 +141,113 @@ impl GaloisKeys {
         v
     }
 
+    /// The key that rotates a level-`level` ciphertext left by `steps`
+    /// slots. Every rotation looks its key up here, before any
+    /// arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::MissingGaloisKey`] when no key was generated for the
+    /// step, [`EvalError::GaloisKeyTooShallow`] when the key was cut
+    /// below `level`.
+    pub fn rotation_key(
+        &self,
+        ctx: &CkksContext,
+        steps: usize,
+        level: usize,
+    ) -> Result<&KeySwitchKey, EvalError> {
+        let key = self
+            .key(ctx.galois_exponent(steps))
+            .ok_or(EvalError::MissingGaloisKey { steps })?;
+        let key_level = key.level(ctx);
+        if level > key_level {
+            return Err(EvalError::GaloisKeyTooShallow {
+                steps,
+                key_level,
+                level,
+            });
+        }
+        Ok(key)
+    }
+
     /// Rebuilds a key set from raw parts (deserialization).
     pub(crate) fn from_map(keys: HashMap<usize, KeySwitchKey>) -> Self {
         Self { keys }
+    }
+}
+
+/// Rotation steps, each with the highest ciphertext level it is applied
+/// at: which Galois keys a program needs and how deep each must reach.
+/// Derefs to the sorted, distinct steps.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RotationSet {
+    steps: Vec<usize>,
+    /// `levels[i]` is the highest level `steps[i]` is applied at.
+    levels: Vec<usize>,
+}
+
+impl RotationSet {
+    /// Every one of `steps` at `level`.
+    pub fn at_level(steps: impl Into<Vec<usize>>, level: usize) -> Self {
+        let mut steps = steps.into();
+        steps.sort_unstable();
+        steps.dedup();
+        let levels = vec![level; steps.len()];
+        Self { steps, levels }
+    }
+
+    /// Adds `step` at `level`; a step already listed keeps the higher of
+    /// its two levels.
+    pub fn insert(&mut self, step: usize, level: usize) {
+        match self.steps.binary_search(&step) {
+            Ok(i) => self.levels[i] = self.levels[i].max(level),
+            Err(i) => {
+                self.steps.insert(i, step);
+                self.levels.insert(i, level);
+            }
+        }
+    }
+
+    /// The highest level `step` is applied at, if listed.
+    pub fn level(&self, step: usize) -> Option<usize> {
+        self.steps.binary_search(&step).ok().map(|i| self.levels[i])
+    }
+
+    /// `(step, level)` pairs in step order.
+    pub fn with_levels(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.steps.iter().copied().zip(self.levels.iter().copied())
+    }
+}
+
+impl Deref for RotationSet {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.steps
+    }
+}
+
+impl FromIterator<(usize, usize)> for RotationSet {
+    fn from_iter<I: IntoIterator<Item = (usize, usize)>>(iter: I) -> Self {
+        let mut pairs: Vec<(usize, usize)> = iter.into_iter().collect();
+        // Sorted by step, then level: a step's last pair has its highest.
+        // The stable sort merges presorted runs (a program's per-layer
+        // sets) in linear time.
+        pairs.sort();
+        let mut set = Self {
+            steps: Vec::with_capacity(pairs.len()),
+            levels: Vec::with_capacity(pairs.len()),
+        };
+        for (step, level) in pairs {
+            match (set.steps.last(), set.levels.last_mut()) {
+                (Some(&last), Some(highest)) if last == step => *highest = level,
+                _ => {
+                    set.steps.push(step);
+                    set.levels.push(level);
+                }
+            }
+        }
+        set
     }
 }
 
@@ -160,23 +303,23 @@ impl<'a, R: Rng> KeyGenerator<'a, R> {
         PublicKey { b, a }
     }
 
-    /// Generates a key-switching key from source secret `t` (NTT form
-    /// over the full extended basis) to the main secret.
+    /// Generates a level-`level` key-switching key from source secret
+    /// `t` (NTT form over the level-`level` extended basis) to the main
+    /// secret: `active_digits(level)` digits over primes `0..level` plus
+    /// the specials. At `level = L` this is the full key.
     ///
     /// One digit per group of `digit_group_size` coefficient primes: the
     /// gadget element of digit `j` is `≡ P (mod q_i)` for every prime in
     /// its group and zero everywhere else (`P = ∏ specials`).
-    fn key_switch_key_for(&mut self, t: &RnsPoly) -> KeySwitchKey {
+    fn key_switch_key_for(&mut self, t: &RnsPoly, level: usize) -> KeySwitchKey {
         let ctx = self.ctx;
-        let big_l = ctx.max_level();
-        let dnum = ctx.key_switch_digits();
         let group = ctx.params().digit_group_size();
-        let ext_moduli = full_extended_moduli(ctx);
-        let ext_tables = full_extended_tables(ctx);
+        let ext_moduli = ctx.extended_moduli_at(level);
+        let ext_tables = ctx.extended_tables_at(level);
         let n = ctx.degree();
-        let s = self.secret.full();
+        let s = self.secret.extended_at(ctx, level);
 
-        let digits = (0..dnum)
+        let digits = (0..ctx.active_digits(level))
             .map(|j| {
                 let a_j = sample_uniform(n, &ext_moduli, Domain::Ntt, &mut self.rng);
                 let mut e_j = small_to_rns(
@@ -186,13 +329,13 @@ impl<'a, R: Rng> KeyGenerator<'a, R> {
                 e_j.to_ntt(&ext_tables);
 
                 let mut b_j = a_j.clone();
-                b_j.mul_pointwise_assign(s, &ext_moduli);
+                b_j.mul_pointwise_assign(&s, &ext_moduli);
                 b_j.neg_assign(&ext_moduli);
                 b_j.add_assign(&e_j, &ext_moduli);
 
                 // Gadget term on every prime of this digit's group:
                 // g_j ≡ P (mod q_i), 0 elsewhere.
-                let digit_primes = j * group..((j + 1) * group).min(big_l);
+                let digit_primes = j * group..((j + 1) * group).min(level);
                 for (i, &q_i) in ext_moduli
                     .iter()
                     .enumerate()
@@ -213,45 +356,69 @@ impl<'a, R: Rng> KeyGenerator<'a, R> {
         KeySwitchKey { digits }
     }
 
-    /// Generates the relinearization key (switches `s²` to `s`).
+    /// Generates the relinearization key (switches `s²` to `s`) at the
+    /// top level.
     pub fn relin_key(&mut self) -> RelinKey {
         let ext_moduli = full_extended_moduli(self.ctx);
         let mut s2 = self.secret.full().clone();
         let s = self.secret.full().clone();
         s2.mul_pointwise_assign(&s, &ext_moduli);
-        RelinKey(self.key_switch_key_for(&s2))
+        RelinKey(self.key_switch_key_for(&s2, self.ctx.max_level()))
     }
 
-    /// Generates the conjugation key (Galois element `2N - 1`).
+    /// Generates the conjugation key (Galois element `2N - 1`) at the
+    /// top level.
     pub fn conjugation_key(&mut self) -> KeySwitchKey {
         let ctx = self.ctx;
-        let ext_moduli = full_extended_moduli(ctx);
-        let ext_tables = full_extended_tables(ctx);
-        let g = ctx.conjugation_exponent();
-        let mut s_small = small_to_rns(&self.secret_small, &ext_moduli);
-        s_small = s_small.automorphism(g, &ext_moduli);
-        s_small.to_ntt(&ext_tables);
-        self.key_switch_key_for(&s_small)
+        self.galois_key(ctx.conjugation_exponent(), ctx.max_level())
     }
 
-    /// Generates Galois keys for left rotations by each of `steps` slots.
-    pub fn galois_keys(&mut self, steps: &[usize]) -> GaloisKeys {
+    /// The level-`level` key for Galois element `g`: `σ_g(s)` computed on
+    /// the small secret, lifted to the key's basis.
+    fn galois_key(&mut self, g: usize, level: usize) -> KeySwitchKey {
         let ctx = self.ctx;
-        let ext_moduli = full_extended_moduli(ctx);
-        let ext_tables = full_extended_tables(ctx);
-        let mut keys = HashMap::new();
-        for &r in steps {
-            let g = ctx.galois_exponent(r);
-            if g == 1 || keys.contains_key(&g) {
-                continue;
+        let ext_moduli = ctx.extended_moduli_at(level);
+        let s_small = small_to_rns(&self.secret_small, &ext_moduli);
+        debug_assert_eq!(s_small.domain(), Domain::Coeff);
+        let mut t = s_small.automorphism(g, &ext_moduli);
+        t.to_ntt(&ctx.extended_tables_at(level));
+        self.key_switch_key_for(&t, level)
+    }
+
+    /// Generates Galois keys for left rotations by each of `steps` slots,
+    /// every key at the top level.
+    pub fn galois_keys(&mut self, steps: &[usize]) -> GaloisKeys {
+        let top = self.ctx.max_level();
+        self.galois_keys_for(steps.iter().map(|&s| (s, top)))
+    }
+
+    /// Generates Galois keys for `rotations`, each key cut to the highest
+    /// level its steps are applied at: a rotation at or below that level
+    /// reads only the limbs the cut keeps, so it computes exactly what it
+    /// would with the full key.
+    pub fn galois_keys_at(&mut self, rotations: &RotationSet) -> GaloisKeys {
+        self.galois_keys_for(rotations.with_levels())
+    }
+
+    /// The one Galois keygen path: a key per distinct non-identity Galois
+    /// element, at the highest level (within `1..=L`) any of its steps
+    /// asks for, generated in the order the elements first appear.
+    fn galois_keys_for(&mut self, steps: impl Iterator<Item = (usize, usize)>) -> GaloisKeys {
+        let top = self.ctx.max_level();
+        let mut wanted: Vec<(usize, usize)> = Vec::new();
+        for (step, level) in steps {
+            let g = self.ctx.galois_exponent(step);
+            let level = level.clamp(1, top);
+            match wanted.iter_mut().find(|(e, _)| *e == g) {
+                Some(w) => w.1 = w.1.max(level),
+                None if g != 1 => wanted.push((g, level)),
+                None => {}
             }
-            // sigma_g(s) computed on the small secret, then lifted.
-            let mut s_small = small_to_rns(&self.secret_small, &ext_moduli);
-            debug_assert_eq!(s_small.domain(), Domain::Coeff);
-            s_small = s_small.automorphism(g, &ext_moduli);
-            s_small.to_ntt(&ext_tables);
-            keys.insert(g, self.key_switch_key_for(&s_small));
         }
+        let keys = wanted
+            .into_iter()
+            .map(|(g, level)| (g, self.galois_key(g, level)))
+            .collect();
         GaloisKeys { keys }
     }
 }
@@ -363,6 +530,26 @@ mod tests {
         assert!(gks.key(1).is_none(), "identity rotation needs no key");
         assert!(!gks.is_empty());
         assert_eq!(gks.exponents().len(), 2);
+    }
+
+    #[test]
+    fn cut_keys_take_the_highest_level_per_galois_element() {
+        let ctx = setup();
+        let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(6));
+        let slots = ctx.degree() / 2;
+        // 1 and slots + 1 are one Galois element; 0 is the identity.
+        let rotations: RotationSet = [(1, 1), (slots + 1, 2), (2, 1), (0, 3), (3, 9)]
+            .into_iter()
+            .collect();
+        let gks = kg.galois_keys_at(&rotations);
+        let level = |steps| gks.key(ctx.galois_exponent(steps)).unwrap().level(&ctx);
+        assert_eq!(gks.len(), 3);
+        assert_eq!((level(1), level(2), level(3)), (2, 1, 3), "level 9 clamps to L");
+        for steps in [1, 2, 3] {
+            let key = gks.key(ctx.galois_exponent(steps)).unwrap();
+            assert_eq!(key.digit_count(), ctx.active_digits(level(steps)));
+            assert_eq!(key.limb_count(), level(steps) + 1);
+        }
     }
 
     #[test]

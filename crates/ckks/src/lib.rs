@@ -8,8 +8,10 @@
 //! (OP5).
 //!
 //! Key switching uses the hybrid construction with per-prime digits and a
-//! single special prime, so one key serves ciphertexts at every level —
-//! the property behind the paper's inter-layer KeySwitch module reuse.
+//! single special prime, so one key serves ciphertexts at every level up
+//! to its own — the property behind the paper's inter-layer KeySwitch
+//! module reuse, and the reason a Galois key need only reach the highest
+//! level it is used at.
 //!
 //! ## Example
 //!
@@ -65,7 +67,9 @@ pub use linalg::{LinearSchedule, LinearTransform};
 pub use matmul::{
     ct_matmul, decode_block, encode_block, matmul_reference, required_rotations, MATMUL_DEPTH,
 };
-pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinKey, SecretKey};
+pub use keys::{
+    GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinKey, RotationSet, SecretKey,
+};
 pub use noise::{NoiseEstimate, NoiseModel};
 pub use params::{CkksParams, ParamsError};
 pub use serialize::{

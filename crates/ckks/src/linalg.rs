@@ -268,8 +268,8 @@ impl LinearTransform {
     /// # Errors
     ///
     /// Fails — before any arithmetic — if `ct` is not at the encoded
-    /// level or a Galois key of the schedule is missing; otherwise as
-    /// the evaluator operations it is made of do.
+    /// level or a Galois key of the schedule is missing or cut below that
+    /// level; otherwise as the evaluator operations it is made of do.
     pub fn apply(
         &self,
         ev: &mut Evaluator<'_>,
@@ -283,14 +283,9 @@ impl LinearTransform {
                 right: self.level,
             });
         }
-        let ctx = ev.context();
-        if let Some(steps) = self
-            .schedule
-            .rotation_steps()
-            .into_iter()
-            .find(|&s| gks.key(ctx.galois_exponent(s)).is_none())
-        {
-            return Err(EvalError::MissingGaloisKey { steps });
+        // Every rotation of the transform acts at the input level.
+        for steps in self.schedule.rotation_steps() {
+            gks.rotation_key(ev.context(), steps, self.level)?;
         }
 
         let sched = &self.schedule;

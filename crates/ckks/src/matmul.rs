@@ -29,9 +29,8 @@
 use crate::cipher::Ciphertext;
 use crate::error::EvalError;
 use crate::eval::{Evaluator, HoistedDigits};
-use crate::keys::{GaloisKeys, RelinKey};
+use crate::keys::{GaloisKeys, RelinKey, RotationSet};
 use crate::trace::HeOpKind;
-use std::collections::BTreeSet;
 
 /// Multiplicative depth of one ct×ct matmul block.
 pub const MATMUL_DEPTH: usize = 3;
@@ -206,25 +205,33 @@ fn phi_shift(
 /// babies and giants, φ column shifts, ψ row shifts), deduplicated and
 /// sorted — generate Galois keys for exactly this set.
 pub fn required_rotations(d: usize, slots: usize) -> Vec<usize> {
-    let mut set = BTreeSet::new();
-    let mut add_bsgs = |start: i64, stride: i64, count: usize| {
+    let entry = MATMUL_DEPTH + 2;
+    rotation_levels(d, slots, entry, entry).to_vec()
+}
+
+/// The steps of [`required_rotations`], each at the highest level a
+/// block multiply of `A` at `a_level` and `B` at `b_level` applies it
+/// at: σ's at `a_level`, τ's at `b_level`, the φ and ψ shifts one level
+/// further down, on the transformed blocks.
+fn rotation_levels(d: usize, slots: usize, a_level: usize, b_level: usize) -> RotationSet {
+    let mut steps = Vec::new();
+    let mut add_bsgs = |start: i64, stride: i64, count: usize, level: usize| {
         let bs = bsgs_baby_count(count);
         for b in 0..bs.min(count) {
-            set.insert(norm_shift(b as i64 * stride, slots));
+            steps.push((norm_shift(b as i64 * stride, slots), level));
         }
         for g in 0..count.div_ceil(bs) {
-            set.insert(norm_shift(start + (g * bs) as i64 * stride, slots));
+            steps.push((norm_shift(start + (g * bs) as i64 * stride, slots), level));
         }
     };
-    add_bsgs(-(d as i64 - 1), 1, 2 * d - 1);
-    add_bsgs(0, d as i64, d);
+    add_bsgs(-(d as i64 - 1), 1, 2 * d - 1, a_level);
+    add_bsgs(0, d as i64, d, b_level);
     for k in 1..d {
-        set.insert(norm_shift(k as i64, slots));
-        set.insert(norm_shift(k as i64 - d as i64, slots));
-        set.insert(norm_shift((k * d) as i64, slots));
+        steps.push((norm_shift(k as i64, slots), a_level - 1));
+        steps.push((norm_shift(k as i64 - d as i64, slots), a_level - 1));
+        steps.push((norm_shift((k * d) as i64, slots), b_level - 1));
     }
-    set.remove(&0);
-    set.into_iter().collect()
+    steps.into_iter().filter(|&(step, _)| step != 0).collect()
 }
 
 /// Packs a row-major `d × d` matrix into a slot vector, replicating the
@@ -285,8 +292,10 @@ pub fn matmul_reference(a: &[f64], b: &[f64], d: usize) -> Vec<f64> {
 /// Fails with [`EvalError::LevelExhausted`] when fewer than
 /// `MATMUL_DEPTH + 2` levels remain (the closing `Δ²`-scale product
 /// needs modulus headroom at level ≥ 3, see `sgn`),
-/// [`EvalError::MissingGaloisKey`] when `gks` lacks a step from
-/// [`required_rotations`], and as the constituent ops do.
+/// [`EvalError::MissingGaloisKey`] or [`EvalError::GaloisKeyTooShallow`]
+/// when `gks` lacks a step of [`required_rotations`] or has it cut below
+/// the level the block applies it at — all before any arithmetic — and
+/// as the constituent ops do.
 ///
 /// # Panics
 ///
@@ -310,6 +319,9 @@ pub fn ct_matmul(
             have: a.level().min(b.level()),
             need,
         });
+    }
+    for (steps, level) in rotation_levels(d, slots, a.level(), b.level()).with_levels() {
+        gks.rotation_key(ev.context(), steps, level)?;
     }
     let entry = a.level();
     let out = ev.record_macro(HeOpKind::CtMatmul, entry, |ev| {
@@ -467,6 +479,41 @@ mod tests {
         match ct_matmul(&mut ev, &ca, &cb, &rk, &gks, d) {
             Err(EvalError::LevelExhausted { have: 3, need: 5 }) => {}
             other => panic!("expected LevelExhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn matmul_runs_on_keys_cut_to_the_levels_it_rotates_at() {
+        // σ and τ rotate at the entry level, φ and ψ one level down: keys
+        // cut exactly there suffice, keys a level lower are refused.
+        let ctx = CkksContext::new(CkksParams::insecure_toy(5));
+        let slots = ctx.degree() / 2;
+        let d = 4;
+        let rotations = rotation_levels(d, slots, 5, 5);
+        assert_eq!(*rotations, required_rotations(d, slots));
+        assert!(rotations.with_levels().any(|(_, level)| level == 4));
+        let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(113));
+        let pk = kg.public_key();
+        let sk = kg.secret_key();
+        let rk = kg.relin_key();
+        let gks = kg.galois_keys_at(&rotations);
+        let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(114));
+        let (a, b) = (block_values(d, 5), block_values(d, 6));
+        let ca = enc.encrypt(&encode_block(&a, d, slots));
+        let cb = enc.encrypt(&encode_block(&b, d, slots));
+        let mut ev = Evaluator::new(&ctx);
+        let cc = ct_matmul(&mut ev, &ca, &cb, &rk, &gks, d).expect("keys reach every rotation");
+        let got = decode_block(&Decryptor::new(&ctx, sk).decrypt(&cc), d);
+        assert_close(&got, &matmul_reference(&a, &b, d), 1e-2, "cut keys");
+
+        let shallow = kg.galois_keys_at(&rotation_levels(d, slots, 4, 4));
+        match ct_matmul(&mut ev, &ca, &cb, &rk, &shallow, d) {
+            Err(EvalError::GaloisKeyTooShallow {
+                key_level: 4,
+                level: 5,
+                ..
+            }) => {}
+            other => panic!("expected GaloisKeyTooShallow, got {other:?}"),
         }
     }
 

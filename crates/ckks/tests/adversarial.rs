@@ -229,6 +229,8 @@ fn every_truncated_prefix_of_every_v2_blob_type_is_rejected() {
     let pk = kg.public_key();
     let rk = kg.relin_key();
     let gks = kg.galois_keys(&[1, 2]);
+    // Keys cut to different levels: the frame carries one shape per key.
+    let mixed = kg.galois_keys_at(&[(1, 1), (2, 2), (3, 1)].into_iter().collect());
     let mut enc = Encryptor::new(&ctx, pk.clone(), StdRng::seed_from_u64(31));
     let ct = enc.encrypt(&[1.0, -2.0]);
     let ev = Evaluator::new(&ctx);
@@ -262,6 +264,9 @@ fn every_truncated_prefix_of_every_v2_blob_type_is_rejected() {
         decode_relin_key_v2(b).map(|v| v.to_owned_relin_key())
     });
     check("galois keys", encode_galois_keys_v2(&gks).as_bytes(), |b| {
+        decode_galois_keys_v2(b).map(|v| v.to_owned_galois_keys())
+    });
+    check("mixed-level galois keys", encode_galois_keys_v2(&mixed).as_bytes(), |b| {
         decode_galois_keys_v2(b).map(|v| v.to_owned_galois_keys())
     });
 }

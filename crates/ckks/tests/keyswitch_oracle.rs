@@ -17,10 +17,16 @@
 //! digits are `σ_g` of the canonical digits); they are held to
 //! decrypt-equivalence inside the tracked noise estimate, checked
 //! through the canary.
+//!
+//! Keys cut to a level are held to the full keys they were cut from:
+//! every rotation a cut key accepts is byte-identical to the full key's.
 
+use fxhenn_ckks::wire::{AlignedBytes, V2_HEADER_LEN};
 use fxhenn_ckks::{
-    Canary, Ciphertext, CkksContext, CkksParams, Decryptor, Encryptor, Evaluator, KeyGenerator,
-    KeySwitchKey, DEFAULT_CANARY_MARGIN, DEFAULT_CANARY_SLOTS,
+    decode_galois_keys_v2, encode_ciphertext_v2, encode_galois_keys_v2, Canary, Ciphertext,
+    CkksContext, CkksParams, Decryptor, Encryptor, EvalError, Evaluator, GaloisKeys,
+    KeyGenerator, KeySwitchKey, LinearSchedule, LinearTransform, RotationSet,
+    DEFAULT_CANARY_MARGIN, DEFAULT_CANARY_SLOTS,
 };
 use fxhenn_math::modops::mul_mod;
 use fxhenn_math::par::{with_dispatch_threshold, with_parallelism, Parallelism};
@@ -94,7 +100,8 @@ fn oracle_mod_down(ctx: &CkksContext, mut acc: RnsPoly, l: usize) -> RnsPoly {
 /// Textbook hybrid key switch of NTT-domain `d` at level `l`: every
 /// digit lifted in the coefficient domain into every extended-basis
 /// modulus (its own primes included), forward-transformed, and
-/// multiply-accumulated eagerly against the key.
+/// multiply-accumulated eagerly against the key limb of the same prime
+/// (the key's own primes, then its specials).
 fn oracle_key_switch(
     ctx: &CkksContext,
     d: &RnsPoly,
@@ -105,8 +112,9 @@ fn oracle_key_switch(
     let qs = ctx.coeff_moduli();
     let ext_moduli = ctx.extended_moduli_at(l);
     let ext_tables = ctx.extended_tables_at(l);
+    let key_level = ksk.level(ctx);
     let key_idx: Vec<usize> = (0..ext_moduli.len())
-        .map(|t| ctx.extended_index(l, t))
+        .map(|t| if t < l { t } else { key_level + t - l })
         .collect();
     let mut coeffs = d.clone();
     coeffs.to_coeff(&ctx.tables_at(l));
@@ -397,4 +405,136 @@ fn hoisted_rotations_decrypt_like_plain_ones_within_the_noise_estimate() {
         );
         assert_eq!(trace.hop_count(), 2 * steps.len());
     }
+}
+
+/// Re-frames a v2 Galois-key frame of full keys with every key cut to
+/// `level`: its first `active_digits(level)` digits, each keeping the
+/// limbs of primes `0..level` and of the special primes. Per key the
+/// frame holds `exponent, digits, n, limbs, domain`, then `b_j` and `a_j`
+/// of each digit, limb-major.
+fn truncate_frame(ctx: &CkksContext, frame: &[u8], level: usize) -> AlignedBytes {
+    let words: Vec<u64> = frame[V2_HEADER_LEN..]
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")))
+        .collect();
+    let n = ctx.degree();
+    let keep: Vec<usize> = (0..level + ctx.special_moduli().len())
+        .map(|pos| ctx.extended_index(level, pos))
+        .collect();
+    let digits = ctx.active_digits(level);
+    let mut out = AlignedBytes::new();
+    out.extend_from_slice(&frame[..V2_HEADER_LEN]);
+    out.push_word(words[0]);
+    let mut at = 1;
+    for _ in 0..words[0] {
+        let limbs = words[at + 3] as usize;
+        let header = [words[at], digits as u64, words[at + 2], keep.len() as u64, words[at + 4]];
+        for w in header {
+            out.push_word(w);
+        }
+        let body = at + 5;
+        for poly in 0..2 * digits {
+            for &limb in &keep {
+                let start = body + (poly * limbs + limb) * n;
+                for &w in &words[start..start + n] {
+                    out.push_word(w);
+                }
+            }
+        }
+        at = body + 2 * words[at + 1] as usize * limbs * n;
+    }
+    out
+}
+
+const CUT_STEPS: [usize; 4] = [1, 2, 4, 5];
+
+/// Cuts a full key set to every level `k` in turn and requires plain
+/// rotations, hoisted rotations and a linear transform at every level
+/// `l ≤ k` to come out byte for byte as with the full keys — and the
+/// level above `k` to be refused. Keys *generated* at level `k` are held
+/// to the textbook oracle at the same levels.
+fn check_truncation(params: CkksParams, seed: u64) {
+    let ctx = CkksContext::new(params);
+    let big_l = ctx.max_level();
+    let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(seed));
+    let pk = kg.public_key();
+    let full = kg.galois_keys(&CUT_STEPS);
+    let frame = encode_galois_keys_v2(&full);
+    let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(seed + 1));
+    let slots = ctx.degree() / 2;
+    let top = enc.encrypt(
+        &(0..slots)
+            .map(|i| ((i % 19) as f64 - 9.0) / 11.0)
+            .collect::<Vec<_>>(),
+    );
+    let schedule = LinearSchedule::bsgs(4, vec![4]);
+    let diagonal = |g: usize, b: usize| vec![0.25 * (1 + g * 2 + b) as f64; slots];
+
+    let mut ev = Evaluator::new(&ctx);
+    ev.set_noise_floor_bits(-1.0e6);
+    let bytes = |ct: Result<Ciphertext, EvalError>| {
+        encode_ciphertext_v2(&ct.expect("the key reaches this level")).as_bytes().to_vec()
+    };
+    for k in 1..=big_l {
+        let cut: GaloisKeys = decode_galois_keys_v2(truncate_frame(&ctx, frame.as_bytes(), k).as_bytes())
+            .expect("a well-formed frame")
+            .to_owned_galois_keys();
+        ctx.validate_galois_keys(&cut).expect("a cut key validates");
+        let generated = kg.galois_keys_at(&RotationSet::at_level(CUT_STEPS, k));
+        for l in 1..=k {
+            let ct = ev.mod_switch_to(&top, l).expect("in range");
+            for steps in CUT_STEPS {
+                let g = ctx.galois_exponent(steps);
+                let key = generated.key(g).expect("generated");
+                assert_eq!(key.level(&ctx), k);
+                let rot = ev.rotate(&ct, steps, &generated).expect("the key reaches this level");
+                assert_eq!(rot.polys(), oracle_galois(&ctx, &ct, g, key), "generated k={k} l={l}");
+            }
+            let hoisted = ev.hoist(&ct).expect("linear");
+            for steps in CUT_STEPS {
+                let what = format!("k={k} l={l} steps={steps}");
+                assert_eq!(bytes(ev.rotate(&ct, steps, &cut)), bytes(ev.rotate(&ct, steps, &full)), "rotate {what}");
+                assert_eq!(
+                    bytes(ev.rotate_hoisted(&hoisted, steps, &cut)),
+                    bytes(ev.rotate_hoisted(&hoisted, steps, &full)),
+                    "rotate_hoisted {what}"
+                );
+            }
+            if l >= 2 {
+                let lt = LinearTransform::new(&ev, schedule.clone(), l, diagonal).expect("encodes");
+                assert_eq!(
+                    bytes(lt.apply(&mut ev, &ct, &cut)),
+                    bytes(lt.apply(&mut ev, &ct, &full)),
+                    "LinearTransform k={k} l={l}"
+                );
+            }
+        }
+        if k < big_l {
+            let above = ev.mod_switch_to(&top, k + 1).expect("in range");
+            assert!(matches!(
+                ev.rotate(&above, 1, &cut),
+                Err(EvalError::GaloisKeyTooShallow { key_level, level, .. }) if key_level == k && level == k + 1
+            ));
+        }
+    }
+}
+
+fn check_truncation_all(mode: Parallelism) {
+    for grouped in [false, true] {
+        for (i, params) in points(grouped).into_iter().enumerate() {
+            with_dispatch_threshold(0, || {
+                with_parallelism(mode, || check_truncation(params, 70 + i as u64));
+            });
+        }
+    }
+}
+
+#[test]
+fn cut_keys_rotate_byte_for_byte_like_full_keys_serial() {
+    check_truncation_all(Parallelism::Serial);
+}
+
+#[test]
+fn cut_keys_rotate_byte_for_byte_like_full_keys_threaded() {
+    check_truncation_all(Parallelism::Threads(2));
 }

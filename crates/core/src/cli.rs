@@ -384,9 +384,12 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
             if *chaos {
                 // Chaos mode: a shared, integrity-checked key cache
                 // feeds every worker; the injector rolls deterministic
-                // faults from --seed.
+                // faults from --seed. Its Galois keys are cut to level 2,
+                // below the injector's top-level template (the key-switch
+                // fault class).
                 let mut cache = ModelCache::new();
-                cache.generate("chaos", CkksParams::insecure_toy(3), &[1, 2], *seed);
+                let rotations = fxhenn_ckks::RotationSet::at_level([1, 2], 2);
+                cache.generate("chaos", CkksParams::insecure_toy(3), &rotations, *seed);
                 let cache = std::sync::Arc::new(cache);
                 let worker_seed = *seed;
                 let mut driver = BatchDriver::with_factory(
@@ -611,7 +614,7 @@ fn run_infer(seed: u64, report: &str, noise_floor_bits: f64) -> Result<String, C
     let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(seed));
     let pk = kg.public_key();
     let rk = kg.relin_key();
-    let gks = kg.galois_keys(&prog.required_rotations());
+    let gks = kg.galois_keys_at(&prog.required_rotations());
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(seed ^ 0x5eed));
     let input = try_encrypt_input(&net, &image, &mut enc, ctx.degree() / 2)
         .map_err(|e| err(e.to_string()))?;

@@ -61,7 +61,8 @@ use fxhenn_ckks::wire::{
 use fxhenn_ckks::{
     decode_galois_keys_checksummed, decode_public_key_checksummed, decode_relin_key_checksummed,
     Canary, Ciphertext, CkksContext, CkksParams, Encryptor, Evaluator, GaloisKeys, HeOpKind,
-    KeyGenerator, PublicKey, RelinKey, SignPreset, DEFAULT_CANARY_MARGIN, DEFAULT_CANARY_SLOTS,
+    KeyGenerator, PublicKey, RelinKey, RotationSet, SignPreset, DEFAULT_CANARY_MARGIN,
+    DEFAULT_CANARY_SLOTS,
 };
 use fxhenn_hw::modules::{HeOpModule, ModuleConfig, OpClass};
 use fxhenn_hw::FpgaDevice;
@@ -1482,14 +1483,22 @@ impl ModelCache {
     }
 
     /// Generates and seals key material for `model` under `params`,
-    /// with Galois keys for the given rotation steps. Deterministic in
-    /// `seed`.
-    pub fn generate(&mut self, model: &str, params: CkksParams, rotations: &[usize], seed: u64) {
+    /// with a Galois key for each of `rotations`, cut to the level its
+    /// step is applied at (a program's
+    /// [`required_rotations`](fxhenn_nn::HeCnnProgram::required_rotations)).
+    /// Deterministic in `seed`.
+    pub fn generate(
+        &mut self,
+        model: &str,
+        params: CkksParams,
+        rotations: &RotationSet,
+        seed: u64,
+    ) {
         let ctx = CkksContext::new(params.clone());
         let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(seed));
         let pk = kg.public_key();
         let rk = kg.relin_key();
-        let gks = kg.galois_keys(rotations);
+        let gks = kg.galois_keys_at(rotations);
         self.entries.insert(
             model.to_string(),
             ModelEntry {
@@ -1630,7 +1639,7 @@ impl ModelCache {
 
     /// Regenerates the model's key material in place (same parameters),
     /// undoing any poisoning. Returns `false` when the model is absent.
-    pub fn repair(&mut self, model: &str, rotations: &[usize], seed: u64) -> bool {
+    pub fn repair(&mut self, model: &str, rotations: &RotationSet, seed: u64) -> bool {
         let Some(params) = self.entries.get(model).map(|e| e.params.clone()) else {
             return false;
         };
@@ -1699,9 +1708,14 @@ impl InferenceService for DesignFlowService {
 ///   ciphertext's bytes are flipped, and the context's
 ///   `validate_ciphertext` range check rejects the decoded result
 ///   (a permanent failure);
-/// * ~4% of calls simulate noise exhaustion: a real evaluator with an
+/// * ~2% of calls simulate noise exhaustion: a real evaluator with an
 ///   unreachable noise floor refuses the operation typed
 ///   (`NoiseBudgetExhausted`, a permanent failure);
+/// * ~2% of calls exercise the `key-switch` class ([`HeOpKind::Rotate`]):
+///   the fresh top-level template is rotated with the cache's Galois
+///   keys, which a level-cut cache holds below the top level, and the
+///   rotation is refused typed (`GaloisKeyTooShallow`, permanent) before
+///   any arithmetic;
 /// * ~3% of calls simulate a silent kernel fault: a decrypt-time
 ///   canary check sees slot values unrelated to its expectation and
 ///   raises `NoiseModelViolation` (permanent — the worker's penalty
@@ -1810,7 +1824,7 @@ impl InferenceService for ChaosService {
                 ))),
             };
         }
-        if roll < 10 {
+        if roll < 8 {
             // Noise exhaustion: a real evaluator refuses the op because
             // the predicted budget sits below the (unreachably high)
             // floor — the same typed path a genuinely over-deep circuit
@@ -1821,6 +1835,18 @@ impl InferenceService for ChaosService {
                 Ok(_) => Ok(req.id),
                 Err(e) => Err(AttemptError::Permanent(format!(
                     "evaluation refused: {e}"
+                ))),
+            };
+        }
+        if roll < 10 {
+            // Key-switch fault: a rotation above the level the cache cut
+            // its Galois keys to, refused before any arithmetic.
+            let mut ev = Evaluator::new(&self.ctx);
+            return match ev.rotate(&self.template, 1, &self.gks) {
+                Ok(_) => Ok(req.id),
+                Err(e) => Err(AttemptError::Permanent(format!(
+                    "{} fault: {e}",
+                    HeOpKind::Rotate.fault_class()
                 ))),
             };
         }
@@ -2477,7 +2503,8 @@ mod tests {
     #[test]
     fn model_cache_verifies_poison_and_repair() {
         let mut cache = ModelCache::new();
-        cache.generate("toy", CkksParams::insecure_toy(3), &[1, 2], 7);
+        let rotations = RotationSet::at_level([1, 2], 2);
+        cache.generate("toy", CkksParams::insecure_toy(3), &rotations, 7);
         assert!(cache.contains("toy"));
         let healthy_checksum = cache.checksum_of("toy").expect("cached");
         let verified = cache.verify("toy").expect("fresh material verifies");
@@ -2488,7 +2515,7 @@ mod tests {
             Ok(_) => panic!("poisoned material must not verify"),
         };
         assert!(err.contains("relin key frame"), "{err}");
-        assert!(cache.repair("toy", &[1, 2], 7));
+        assert!(cache.repair("toy", &rotations, 7));
         assert_eq!(cache.checksum_of("toy"), Some(healthy_checksum));
         assert!(cache.verify("toy").is_ok());
         assert!(cache.verify("missing").is_err());
@@ -2497,7 +2524,7 @@ mod tests {
     #[test]
     fn model_cache_roundtrips_through_disk_frames() {
         let mut cache = ModelCache::new();
-        cache.generate("toy", CkksParams::insecure_toy(3), &[1, 2], 7);
+        cache.generate("toy", CkksParams::insecure_toy(3), &RotationSet::at_level([1, 2], 2), 7);
         let checksum = cache.checksum_of("toy").expect("cached");
         let dir =
             std::env::temp_dir().join(format!("fxhenn-cache-test-{}", std::process::id()));
@@ -2526,12 +2553,15 @@ mod tests {
     #[test]
     fn chaos_service_is_deterministic_and_rejects_corruption() {
         let mut cache = ModelCache::new();
-        cache.generate("toy", CkksParams::insecure_toy(3), &[1], 11);
+        // Keys cut below the template's top level, as a program that
+        // rotates only after its first rescale has them.
+        cache.generate("toy", CkksParams::insecure_toy(3), &RotationSet::at_level([1], 2), 11);
         let mut a = ChaosService::from_cache(&cache, "toy", 99).expect("verifies");
         let mut b = ChaosService::from_cache(&cache, "toy", 99).expect("verifies");
         let budget = Budget::unlimited().start();
         let mut saw_corrupt = false;
         let mut saw_exhausted = false;
+        let mut saw_key_switch = false;
         let mut saw_canary = false;
         let mut saw_sign = false;
         let mut saw_matmul = false;
@@ -2553,6 +2583,9 @@ mod tests {
                     } else if m.contains("canary verification failed") {
                         assert!(m.contains("noise model violation"), "{m}");
                         saw_canary = true;
+                    } else if m.starts_with(HeOpKind::Rotate.fault_class()) {
+                        assert!(m.contains("reaches level 2"), "{m}");
+                        saw_key_switch = true;
                     } else if m.starts_with(HeOpKind::Sign.fault_class()) {
                         assert!(m.contains("level exhausted"), "{m}");
                         saw_sign = true;
@@ -2572,7 +2605,7 @@ mod tests {
             "all legacy fault classes must fire in 200 calls"
         );
         assert!(
-            saw_sign && saw_matmul,
+            saw_key_switch && saw_sign && saw_matmul,
             "registry-derived fault classes must fire in 200 calls"
         );
         // Poisoned models always fail permanently.

@@ -31,6 +31,7 @@
 //! explicitly); `chaos_smoke` runs the same harness at reduced scale in
 //! the normal test pass.
 
+use fxhenn::ckks::RotationSet;
 use fxhenn::{
     BatchDriver, ChaosService, CkksParams, InferenceRequest, ModelCache, ServeConfig, ServeError,
     TenantId,
@@ -106,9 +107,15 @@ fn soak_config(queue: usize, quota: usize, workers: usize) -> ServeConfig {
     }
 }
 
+/// The Galois keys the chaos cache holds: cut to level 2, below the
+/// injector's top-level template.
+fn chaos_rotations() -> RotationSet {
+    RotationSet::at_level([1, 2], 2)
+}
+
 fn chaos_cache(seed: u64) -> Arc<Mutex<ModelCache>> {
     let mut cache = ModelCache::new();
-    cache.generate("chaos", CkksParams::insecure_toy(3), &[1, 2], seed);
+    cache.generate("chaos", CkksParams::insecure_toy(3), &chaos_rotations(), seed);
     Arc::new(Mutex::new(cache))
 }
 
@@ -316,7 +323,7 @@ fn quarantine_cycle(seed: u64) -> (Totals, fxhenn::ServeReport) {
     assert!(cache
         .lock()
         .expect("cache lock")
-        .repair("chaos", &[1, 2], seed));
+        .repair("chaos", &chaos_rotations(), seed));
     let mut served_after_repair = 0u64;
     for rid in 0..40u64 {
         let res = driver.submit(

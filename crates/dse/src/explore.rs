@@ -606,7 +606,7 @@ mod tests {
     /// sign and ct×ct matmul workloads, as a lowered program with both
     /// new op kinds would.
     fn mnist_with_composites() -> HeCnnProgram {
-        use fxhenn_ckks::{HeOpKind, OpTrace};
+        use fxhenn_ckks::{HeOpKind, OpTrace, RotationSet};
         use fxhenn_nn::{HeLayerClass, HeLayerPlan};
         let mut prog = mnist();
         let mut trace = OpTrace::new();
@@ -622,7 +622,7 @@ mod tests {
             level_in: 7,
             level_out: 1,
             plaintext_words: 0,
-            rotation_steps: Vec::new(),
+            rotation_steps: RotationSet::default(),
         });
         prog
     }

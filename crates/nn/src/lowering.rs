@@ -33,7 +33,7 @@ use crate::layers::{Conv2d, Layer};
 use crate::model::Network;
 use crate::packing::next_pow2;
 use crate::stats::op_he_macs;
-use fxhenn_ckks::{HeOpKind, LinearSchedule, OpTrace};
+use fxhenn_ckks::{HeOpKind, LinearSchedule, OpTrace, RotationSet};
 
 /// Round-count threshold above which a dense layer's outputs are
 /// consolidated into a single ciphertext (at the cost of one level).
@@ -353,8 +353,10 @@ pub struct HeLayerPlan {
     /// Words of encoded plaintext operands this layer streams from
     /// off-chip memory (weights, biases, masks).
     pub plaintext_words: usize,
-    /// Distinct left-rotation steps this layer needs Galois keys for.
-    pub rotation_steps: Vec<usize>,
+    /// Distinct left-rotation steps this layer needs Galois keys for,
+    /// each at the highest level it rotates at here: the layer's entry
+    /// level, or the other profile's for a step only that profile takes.
+    pub rotation_steps: RotationSet,
 }
 
 impl HeLayerPlan {
@@ -429,16 +431,15 @@ impl HeCnnProgram {
         self.layers.iter().find(|l| l.name == name)
     }
 
-    /// All distinct rotation steps the program needs Galois keys for.
-    pub fn required_rotations(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .layers
+    /// All distinct rotation steps the program needs Galois keys for,
+    /// each at the highest level any layer rotates by it in either
+    /// profile: the set to cut the keys to
+    /// ([`fxhenn_ckks::KeyGenerator::galois_keys_at`]).
+    pub fn required_rotations(&self) -> RotationSet {
+        self.layers
             .iter()
-            .flat_map(|l| l.rotation_steps.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+            .flat_map(|l| l.rotation_steps.with_levels())
+            .collect()
     }
 }
 
@@ -458,8 +459,10 @@ pub fn try_lower_network(
 ///
 /// Keys are generated from one program but must serve an executor of
 /// either profile, so each layer's `rotation_steps` also lists the steps
-/// the other profile would add to the program's key set (none for the
-/// built-in networks); everything else describes `profile` alone.
+/// the other profile would add to the program's key set, or would need
+/// at a higher level (no built-in network gains a step; pooled
+/// FxHENN-MNIST at N = 8192 gains levels); everything else describes
+/// `profile` alone.
 pub fn try_lower_network_with(
     net: &Network,
     degree: usize,
@@ -473,27 +476,29 @@ pub fn try_lower_network_with(
 
 /// Adds to each layer of `program` the rotation steps among `other` (the
 /// same layer's steps under the other profile) that no layer of
-/// `program` has.
-fn add_missing_steps(program: &mut HeCnnProgram, other: &[Vec<usize>]) {
+/// `program` has at that level or above.
+fn add_missing_steps(program: &mut HeCnnProgram, other: &[RotationSet]) {
     let have = program.required_rotations();
     for (layer, other) in program.layers.iter_mut().zip(other) {
-        let missing = other.iter().filter(|s| have.binary_search(s).is_err());
-        layer.rotation_steps.extend(missing);
-        layer.rotation_steps.sort_unstable();
+        for (step, level) in other.with_levels() {
+            if have.level(step).is_none_or(|l| l < level) {
+                layer.rotation_steps.insert(step, level);
+            }
+        }
     }
 }
 
-/// Rotation steps and output layout of a dense-like layer under
-/// `profile` — the part of its lowering that needs no trace, which is
-/// all the *other* profile is followed for.
+/// Rotation steps, output layout and levels consumed of a dense-like
+/// layer under `profile` — the part of its lowering that needs no trace,
+/// which is all the *other* profile is followed for.
 fn dense_route(
     input: &Layout,
     d_out: usize,
     slots: usize,
     profile: LoweringProfile,
-) -> (Vec<usize>, Layout) {
+) -> (Vec<usize>, Layout, usize) {
     if let (LoweringProfile::Optimized, Some(plan)) = (profile, plan_linear(input, d_out, slots)) {
-        return (plan.rotation_steps(), plan.output);
+        return (plan.rotation_steps(), plan.output, 1);
     }
     let plan = plan_dense(input, d_out, slots);
     let (copies, seg) = (plan.copies, plan.seg);
@@ -503,31 +508,34 @@ fn dense_route(
         // Consolidated: one ciphertext (a per-output plan has copies = seg = 1).
         (_, true) => Layout::ScatteredSingle { n: d_out, copies, seg, rounds: plan.rounds },
     };
-    (plan.rotation_steps(), output)
+    (plan.rotation_steps(), output, 1 + usize::from(plan.consolidate))
 }
 
 /// A layer boundary under the profile being lowered (`own`) and under
-/// the other one, which is followed only for its rotation steps.
+/// the other one, which is followed only for its rotation steps and the
+/// level it reaches them at.
 #[derive(Clone)]
 struct Boundary {
     own: Layout,
     other: Layout,
+    other_level: usize,
 }
 
 /// Lowers `net` under `profile` alone; the second value lists, per
-/// layer, the rotation steps the other profile takes there.
+/// layer, the rotation steps the other profile takes there, at its entry
+/// level.
 fn lower_profile(
     net: &Network,
     degree: usize,
     max_level: usize,
     profile: LoweringProfile,
-) -> Result<(HeCnnProgram, Vec<Vec<usize>>), LowerError> {
+) -> Result<(HeCnnProgram, Vec<RotationSet>), LowerError> {
     let slots = degree / 2;
     let mut level = max_level;
     let mut shape = net.input_shape().to_vec();
     let mut layout: Option<Boundary> = None;
     let mut plans = Vec::with_capacity(net.layer_count());
-    let mut other_steps = vec![Vec::new(); net.layer_count()];
+    let mut other_steps = vec![RotationSet::default(); net.layer_count()];
     if net.layer_count() == 0 {
         return Err(LowerError::EmptyNetwork);
     }
@@ -537,8 +545,10 @@ fn lower_profile(
     };
     let dense = |name: &str, at: &Boundary, d_out: usize, level: usize| {
         let (plan, own) = lower_dense_like(name, &at.own, d_out, slots, level, profile);
-        let (steps, other) = dense_route(&at.other, d_out, slots, other_profile);
-        (plan, Boundary { own, other }, steps)
+        let (steps, other, used) = dense_route(&at.other, d_out, slots, other_profile);
+        let steps = RotationSet::at_level(steps, at.other_level);
+        let other_level = at.other_level.saturating_sub(used);
+        (plan, Boundary { own, other, other_level }, steps)
     };
 
     for (idx, (name, layer)) in net.layers().iter().enumerate() {
@@ -559,6 +569,7 @@ fn lower_profile(
                     layout = Some(Boundary {
                         own: l2.clone(),
                         other: l2,
+                        other_level: p.level_out,
                     });
                     level = p.level_out;
                     p
@@ -578,6 +589,7 @@ fn lower_profile(
             Layer::Activation(_) => {
                 let p = lower_activation(name, &need_input(&layout)?.own, level);
                 level = p.level_out;
+                same_drop(&mut layout, &p);
                 p
             }
             Layer::Dense(d) => {
@@ -634,6 +646,7 @@ fn lower_profile(
                 }
                 let p = lower_channel_scale(name, &lay.own, slots, level);
                 level = p.level_out;
+                same_drop(&mut layout, &p);
                 p
             }
             Layer::SignAct(relu) => {
@@ -647,6 +660,7 @@ fn lower_profile(
                 }
                 let p = lower_sign_activation(name, &lay.own, relu.preset, level);
                 level = p.level_out;
+                same_drop(&mut layout, &p);
                 p
             }
         };
@@ -666,6 +680,14 @@ fn lower_profile(
         layers: plans,
     };
     Ok((program, other_steps))
+}
+
+/// A layer lowered the same way under both profiles takes the other
+/// profile's level down by as much as its own.
+fn same_drop(layout: &mut Option<Boundary>, plan: &HeLayerPlan) {
+    if let Some(b) = layout {
+        b.other_level = b.other_level.saturating_sub(plan.level_in - plan.level_out);
+    }
 }
 
 /// Lowers a network into an HE program for ring degree `degree` with
@@ -740,7 +762,7 @@ fn lower_first_conv(
         level_in: level,
         level_out: level - 1,
         plaintext_words: groups * (k + 1) * slots * 2 * level,
-        rotation_steps: Vec::new(),
+        rotation_steps: RotationSet::default(),
     };
     Ok((plan, layout))
 }
@@ -762,7 +784,7 @@ fn lower_activation(name: &str, layout: &Layout, level: usize) -> HeLayerPlan {
         level_in: level,
         level_out: level - 1,
         plaintext_words: 0,
-        rotation_steps: Vec::new(),
+        rotation_steps: RotationSet::default(),
     }
 }
 
@@ -801,7 +823,7 @@ fn lower_sign_activation(
         level_in: level,
         level_out: level - (3 * stages + 2),
         plaintext_words: 0,
-        rotation_steps: Vec::new(),
+        rotation_steps: RotationSet::default(),
     }
 }
 
@@ -822,7 +844,7 @@ fn lower_channel_scale(name: &str, layout: &Layout, slots: usize, level: usize) 
         level_in: level,
         level_out: level - 1,
         plaintext_words: cts * slots * 2 * (2 * level - 1),
-        rotation_steps: Vec::new(),
+        rotation_steps: RotationSet::default(),
     }
 }
 
@@ -835,7 +857,8 @@ fn lower_dense_like(
     profile: LoweringProfile,
 ) -> (HeLayerPlan, Layout) {
     let mut trace = OpTrace::new();
-    let (rotation_steps, output) = dense_route(input, d_out, slots, profile);
+    let (steps, output, _) = dense_route(input, d_out, slots, profile);
+    let rotation_steps = RotationSet::at_level(steps, level);
     if let (LoweringProfile::Optimized, Some(plan)) = (profile, plan_linear(input, d_out, slots)) {
         for _ in &plan.stack_shifts {
             trace.record(HeOpKind::Rotate, level);
@@ -1091,13 +1114,19 @@ mod tests {
             let fast = own(LoweringProfile::Optimized);
             let extra: Vec<_> = fast.iter().filter(|s| !faithful.contains(s)).collect();
             assert!(extra.is_empty(), "{}: new steps {extra:?}", net.name());
-            // So the public lowering is the faithful one, untouched.
-            assert_eq!(
-                lower_network(&net, degree, levels),
-                lower_profile(&net, degree, levels, LoweringProfile::PaperFaithful).unwrap().0,
-                "{}",
-                net.name()
-            );
+            // So the public lowering is the faithful one, untouched but
+            // for the level a key must reach: pooled MNIST's optimized
+            // Fc1 skips Pool1's consolidation and rotates a level higher.
+            let mut public = lower_network(&net, degree, levels);
+            let (pure, _) =
+                lower_profile(&net, degree, levels, LoweringProfile::PaperFaithful).unwrap();
+            let raised = public.required_rotations() != pure.required_rotations();
+            assert_eq!(raised, net.name() == "FxHENN-MNIST-pooled", "{}", net.name());
+            for (layer, own) in public.layers.iter_mut().zip(&pure.layers) {
+                assert_eq!(*layer.rotation_steps, *own.rotation_steps, "{}", net.name());
+                layer.rotation_steps = own.rotation_steps.clone();
+            }
+            assert_eq!(public, pure, "{}", net.name());
         }
     }
 
@@ -1128,8 +1157,8 @@ mod tests {
                     let fast_steps: Vec<_> = fast.layers.iter().map(|l| l.rotation_steps.clone()).collect();
                     assert_eq!(other, fast_steps);
                     let keys = faithful.required_rotations();
-                    for step in fast.required_rotations() {
-                        assert!(keys.contains(&step), "{maps}/{kernel}/{stride}/{extra}/{hidden}/{outputs}: step {step}");
+                    for step in fast.required_rotations().iter() {
+                        assert!(keys.contains(step), "{maps}/{kernel}/{stride}/{extra}/{hidden}/{outputs}: step {step}");
                     }
                     lowered += 1;
                 }
@@ -1141,15 +1170,23 @@ mod tests {
     #[test]
     fn key_set_is_the_union_when_the_profiles_differ() {
         // No architecture above has an optimized schedule outside its
-        // faithful key set, so the merge is shown on a doctored program.
+        // faithful key set, so the merge is shown on a doctored program:
+        // Fc1 (level 5) rotates by 1..16, Fc2 (level 3) by 32..256.
         let net = toy_mnist_like(1);
         let (mut prog, mut other) =
             lower_profile(&net, 1024, 7, LoweringProfile::PaperFaithful).unwrap();
-        other[4] = vec![1, 3, 32];
+        other[4] = RotationSet::at_level([1, 3, 32], 3);
+        other[4].insert(64, 4);
         let before = prog.clone();
         add_missing_steps(&mut prog, &other);
-        // 1 and 32 are Fc1's and Fc2's already; only 3 is new, on Fc2.
-        assert_eq!(prog.layers[4].rotation_steps, [3, 32, 64, 128, 256]);
+        // 1 is Fc1's at a higher level and 32 Fc2's at the same one; 3 is
+        // new, and 64 is present only at a lower level: both land on Fc2.
+        let fc2 = &prog.layers[4].rotation_steps;
+        assert_eq!(**fc2, [3, 32, 64, 128, 256]);
+        assert_eq!(fc2.level(3), Some(3));
+        assert_eq!(fc2.level(32), Some(3));
+        assert_eq!(fc2.level(64), Some(4));
+        assert_eq!(prog.required_rotations().level(1), Some(5));
         assert_eq!(prog.layers[..4], before.layers[..4]);
         assert_eq!(prog.layers[4].trace, before.layers[4].trace);
     }

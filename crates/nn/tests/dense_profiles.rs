@@ -9,7 +9,7 @@
 
 use fxhenn_ckks::{
     register_he_metrics, CkksContext, CkksParams, Decryptor, Encryptor, GaloisKeys, HeOpRecord,
-    KeyGenerator, OpTrace, PublicKey, RelinKey, SecretKey,
+    KeyGenerator, OpTrace, PublicKey, RelinKey, RotationSet, SecretKey,
 };
 use fxhenn_nn::executor::{encrypt_input, EncryptedInput, HeCnnExecutor};
 use fxhenn_nn::{
@@ -188,9 +188,14 @@ fn paper_lowering_and_key_set_are_what_they_were() {
     let prog = lower_network(&fxhenn_mnist(1), 8192, 7);
     assert_eq!(prog.hop_count(), 1282);
     assert_eq!(prog.key_switch_count(), 298);
+    // Fc1 (entered at level 5) rotates by 1..512, 2048 and 3072; Fc2
+    // (level 3) by 1024 and 2048 — 13 keys, 12 of them cut to level 5.
     let pow2 = (0..12).map(|t| 1usize << t);
-    let expected: Vec<usize> = pow2.chain([3072]).collect();
-    assert_eq!(prog.required_rotations(), expected, "13 keys, 95 420 952 bytes");
+    let expected: RotationSet = pow2
+        .chain([3072])
+        .map(|s| (s, if s == 1024 { 3 } else { 5 }))
+        .collect();
+    assert_eq!(prog.required_rotations(), expected);
 
     let fast = try_lower_network_with(&fxhenn_mnist(1), 8192, 7, LoweringProfile::Optimized)
         .expect("the network lowers");

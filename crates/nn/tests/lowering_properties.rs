@@ -124,7 +124,7 @@ proptest! {
         for w in rotations.windows(2) {
             prop_assert!(w[0] < w[1], "sorted and deduplicated");
         }
-        for &r in &rotations {
+        for &r in rotations.iter() {
             prop_assert!(r >= 1 && r < slots, "rotation {r} out of range");
         }
     }
@@ -200,7 +200,7 @@ proptest! {
         // One key set serves both profiles, every step in range.
         let keys = fast.required_rotations();
         prop_assert_eq!(&keys, &faithful.required_rotations());
-        for &r in &keys {
+        for &r in keys.iter() {
             prop_assert!((1..512).contains(&r), "rotation {r} out of range");
         }
     }

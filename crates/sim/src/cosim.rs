@@ -67,7 +67,7 @@ pub fn try_cosimulate(
     let pk = kg.public_key();
     let sk = kg.secret_key();
     let rk = kg.relin_key();
-    let gks = kg.galois_keys(&prog.required_rotations());
+    let gks = kg.galois_keys_at(&prog.required_rotations());
 
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(seed ^ 1));
     let input = try_encrypt_input(net, image, &mut enc, ctx.degree() / 2)?;
