@@ -83,9 +83,9 @@ pub use telemetry::{
     register_he_metrics, register_noise_metrics, register_wire_metrics, OpSpanLog,
 };
 pub use sgn::{
-    align_scale, argmax_depth, encrypted_argmax, max_pool2, max_pool2_depth, relu_approx,
-    relu_depth, sign, sign_reference, sign_reference_with_bound, sign_with_bound, ScoredClass,
-    SignPreset,
+    align_scale, argmax_depth, encrypted_argmax, max_pool2, max_pool2_depth, record_relu_approx,
+    relu_approx, relu_depth, relu_min_level, sign, sign_reference, sign_reference_with_bound,
+    sign_with_bound, ScoredClass, SignPreset,
 };
 pub use trace::{
     bsgs_rotations, matmul_block_dim, ntt_mults, HeOpKind, HeOpRecord, OpSpec, OpTrace,

@@ -33,7 +33,7 @@ use crate::cipher::Ciphertext;
 use crate::error::EvalError;
 use crate::eval::Evaluator;
 use crate::keys::RelinKey;
-use crate::trace::HeOpKind;
+use crate::trace::{HeOpKind, OpTrace};
 
 /// The convergence stage `f(x) = x·(1.5 − 0.5·x²)`: fixes ±1, pulls
 /// everything in `(0, 1]` monotonically toward 1.
@@ -120,6 +120,12 @@ pub fn sign_reference(x: f64, preset: SignPreset) -> f64 {
 /// the selector halving and the closing product.
 pub fn relu_depth(preset: SignPreset) -> usize {
     preset.depth() + 2
+}
+
+/// The lowest level [`relu_approx`] accepts: its depth plus the two
+/// guard levels.
+pub fn relu_min_level(preset: SignPreset) -> usize {
+    relu_depth(preset) + 2
 }
 
 /// Multiplicative depth of [`max_pool2`]: the sign composition plus the
@@ -276,7 +282,7 @@ pub fn relu_approx(
     preset: SignPreset,
     bound: f64,
 ) -> Result<Ciphertext, EvalError> {
-    let need = relu_depth(preset) + 2;
+    let need = relu_min_level(preset);
     if x.level() < need {
         return Err(EvalError::LevelExhausted {
             have: x.level(),
@@ -295,6 +301,25 @@ pub fn relu_approx(
     let std = y.noise_std();
     let tight = y.msg_bound().min(bound);
     Ok(y.with_noise(std, tight))
+}
+
+/// Appends the records [`relu_approx`] leaves in a trace for an input
+/// at `level` ≥ [`relu_min_level`], in execution order: the sign stages,
+/// the halving product and its rescale, the `+ 1/2`, the input's
+/// mod-switch (recorded at its own level), the closing product.
+pub fn record_relu_approx(preset: SignPreset, level: usize, trace: &mut OpTrace) {
+    let mut lv = level;
+    for _ in preset.stages() {
+        trace.record(HeOpKind::Sign, lv);
+        lv -= 3;
+    }
+    trace.record(HeOpKind::PcMult, lv);
+    trace.record(HeOpKind::Rescale, lv);
+    trace.record(HeOpKind::PcAdd, lv - 1);
+    trace.record(HeOpKind::ModSwitch, level);
+    trace.record(HeOpKind::CcMult, lv - 1);
+    trace.record(HeOpKind::Relinearize, lv - 1);
+    trace.record(HeOpKind::Rescale, lv - 1);
 }
 
 /// Encrypted pairwise max: `(a + b)/2 + ((a − b)/2) · sgn(a − b)`,
@@ -620,6 +645,29 @@ mod tests {
                 (y - x.max(0.0)).abs() < SignPreset::Low.error_bound(),
                 "slot {i}: relu({x}) = {y} strays from max(x, 0)"
             );
+        }
+    }
+
+    #[test]
+    fn relu_record_is_relu_approx_trace() {
+        for preset in [SignPreset::Low, SignPreset::Medium] {
+            let need = relu_min_level(preset);
+            for level in [need, need + 1, need + 2] {
+                let (ctx, values) = setup(level);
+                let (pk, _sk, rk) = keys(&ctx, 83);
+                let ct = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(84)).encrypt(&values);
+                let mut ev = Evaluator::new(&ctx);
+                ev.start_trace();
+                relu_approx(&mut ev, &ct, &rk, preset, 1.0).expect("deep enough");
+                let mut recorded = OpTrace::new();
+                record_relu_approx(preset, level, &mut recorded);
+                assert_eq!(ev.take_trace(), Some(recorded), "{preset:?} at level {level}");
+            }
+            let (ctx, values) = setup(need - 1);
+            let (pk, _sk, rk) = keys(&ctx, 85);
+            let ct = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(86)).encrypt(&values);
+            let refused = relu_approx(&mut Evaluator::new(&ctx), &ct, &rk, preset, 1.0);
+            assert!(matches!(refused, Err(EvalError::LevelExhausted { .. })), "{preset:?}");
         }
     }
 

@@ -126,7 +126,10 @@ mod tests {
             ),
             (fxhenn_ckks::DecodeError::Truncated.into(), "decode:"),
             (fxhenn_nn::LowerError::EmptyNetwork.into(), "lower:"),
-            (fxhenn_nn::ExecError::EmptyNetwork.into(), "exec:"),
+            (
+                fxhenn_nn::ExecError::Lower(fxhenn_nn::LowerError::EmptyNetwork).into(),
+                "exec:",
+            ),
             (fxhenn_hw::ModelError::NoDspSlices.into(), "model:"),
             (fxhenn_dse::DseError::EmptySearchSpace.into(), "dse:"),
             (fxhenn_sim::SimError::EmptyProgram.into(), "sim:"),

@@ -4,7 +4,10 @@
 //! (network structure, slot capacity, level budget); [`ExecError`] covers
 //! the functional executor's runtime failures, including evaluator
 //! precondition violations ([`EvalError`]) and predicted noise-budget
-//! exhaustion. Both carry the layer name so a failure deep in a network
+//! exhaustion. Lowering and execution share one walk of the network, so
+//! a structural failure is the same [`LowerError`] in both, wrapped as
+//! [`ExecError::Lower`] by the executor. Both carry the layer name so a
+//! failure deep in a network
 //! points at the offending layer, not just the offending ciphertext.
 //!
 //! `Debug` delegates to `Display` so `expect`-style panics in tests and
@@ -21,12 +24,6 @@ pub enum LowerError {
     EmptyNetwork,
     /// The LoLa offset packing requires a convolution front end.
     FirstLayerNotConv,
-    /// A layer that consumes a lowered input appeared before any
-    /// producing layer.
-    MissingInput {
-        /// The layer missing its input.
-        layer: String,
-    },
     /// A dense layer's `in_features` disagrees with the incoming layout.
     DenseSizeMismatch {
         /// The dense layer.
@@ -78,9 +75,6 @@ impl fmt::Display for LowerError {
             LowerError::FirstLayerNotConv => {
                 f.write_str("LoLa packing expects a convolution front end")
             }
-            LowerError::MissingInput { layer } => {
-                write!(f, "{layer} has no lowered input")
-            }
             LowerError::DenseSizeMismatch {
                 layer,
                 expected,
@@ -131,24 +125,9 @@ impl std::error::Error for LowerError {}
 /// A runtime failure of the functional HE-CNN executor.
 #[derive(Clone, PartialEq)]
 pub enum ExecError {
-    /// The network has no layers.
-    EmptyNetwork,
-    /// The LoLa offset packing requires a convolution front end.
-    FirstLayerNotConv,
-    /// A layer found no ciphertext state to consume.
-    MissingInput {
-        /// The layer missing its input.
-        layer: String,
-    },
-    /// A dense layer's `in_features` disagrees with the carried layout.
-    DenseSizeMismatch {
-        /// The dense layer.
-        layer: String,
-        /// `in_features` declared by the layer.
-        expected: usize,
-        /// Values actually present at the boundary.
-        got: usize,
-    },
+    /// The network cannot be walked at all: the structural failures the
+    /// lowering reports, raised by the same walk.
+    Lower(LowerError),
     /// The encrypted input's packing shape disagrees with the network's
     /// front convolution.
     PackingMismatch {
@@ -160,20 +139,6 @@ pub enum ExecError {
         expected: usize,
         /// Count found in the input.
         got: usize,
-    },
-    /// A channel-scale layer received a non-CHW state.
-    NotChw {
-        /// The offending layer.
-        layer: String,
-        /// Rank of the shape that arrived.
-        rank: usize,
-    },
-    /// A consolidation pass met a layout it cannot fold.
-    Unconsolidatable {
-        /// The dense-like layer being consolidated.
-        layer: String,
-        /// Debug rendering of the unexpected layout.
-        layout: String,
     },
     /// The analytic noise estimate predicts decryption would return
     /// garbage; execution stops instead of silently producing it.
@@ -222,20 +187,7 @@ impl ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::EmptyNetwork => f.write_str("network has no layers"),
-            ExecError::FirstLayerNotConv => {
-                f.write_str("LoLa packing expects a convolution front end")
-            }
-            ExecError::MissingInput { layer } => write!(f, "{layer} has no input"),
-            ExecError::DenseSizeMismatch {
-                layer,
-                expected,
-                got,
-            } => write!(
-                f,
-                "dense input mismatch at {layer}: layer expects {expected} \
-                 features, state carries {got}"
-            ),
+            ExecError::Lower(e) => fmt::Display::fmt(e, f),
             ExecError::PackingMismatch {
                 layer,
                 what,
@@ -246,12 +198,6 @@ impl fmt::Display for ExecError {
                 "input packing {what} mismatch at {layer}: expected \
                  {expected}, got {got}"
             ),
-            ExecError::NotChw { layer, rank } => {
-                write!(f, "channel scale at {layer} needs a CHW shape (got rank {rank})")
-            }
-            ExecError::Unconsolidatable { layer, layout } => {
-                write!(f, "cannot consolidate layout {layout} at {layer}")
-            }
             ExecError::NoiseBudgetExhausted {
                 layer,
                 op,
@@ -274,6 +220,12 @@ impl fmt::Display for ExecError {
     }
 }
 
+impl From<LowerError> for ExecError {
+    fn from(e: LowerError) -> Self {
+        ExecError::Lower(e)
+    }
+}
+
 impl From<BudgetStop> for ExecError {
     fn from(stop: BudgetStop) -> Self {
         ExecError::Cancelled(stop)
@@ -289,6 +241,7 @@ impl fmt::Debug for ExecError {
 impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            ExecError::Lower(e) => Some(e),
             ExecError::Eval { source, .. } => Some(source),
             ExecError::Cancelled(stop) => Some(stop),
             _ => None,

@@ -5,7 +5,8 @@
 //! FxHENN-MNIST / FxHENN-CIFAR10 benchmark networks, slot layouts and
 //! packing builders, the analytic lowering that turns a network into a
 //! per-layer HE operation program, and a functional executor that runs
-//! the same program through `fxhenn-ckks` for end-to-end verification.
+//! the same program through `fxhenn-ckks` for end-to-end verification —
+//! both one walk of the network (`walk`), on two backends.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
@@ -22,6 +23,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod tensor;
 pub mod train;
+mod walk;
 
 pub use builder::{BuildError, NetworkBuilder};
 pub use error::{ExecError, LowerError};

@@ -1,11 +1,11 @@
 //! Lowering a CNN into a per-layer HE operation program.
 //!
-//! This is the analytic counterpart of the functional executor: it walks
-//! the network and emits, for every layer, the exact sequence of HE
-//! operations (with levels) that the LoLa-style packing performs —
-//! without touching any ciphertext. The result drives the hardware
-//! model, the DSE and the benchmark tables (HOP/KS counts of Tables IV,
-//! VI, VII).
+//! The lowering runs the one walk of `walk.rs` on a recorder whose
+//! ciphertexts are just their levels: it emits, for every layer, the
+//! exact sequence of HE operations (with levels) the executor performs,
+//! in the order it performs them, without touching any ciphertext. The
+//! result drives the hardware model, the DSE and the benchmark tables
+//! (HOP/KS counts of Tables IV, VI, VII).
 //!
 //! ## Lowering rules
 //!
@@ -29,11 +29,12 @@
 //! [`LinearSchedule`] (see [`plan_linear`], DESIGN.md §16).
 
 use crate::error::LowerError;
-use crate::layers::{Conv2d, Layer};
+use crate::layers::SignRelu;
 use crate::model::Network;
 use crate::packing::next_pow2;
 use crate::stats::op_he_macs;
-use fxhenn_ckks::{HeOpKind, LinearSchedule, OpTrace, RotationSet};
+use crate::walk::{front_conv, walk, At, Backend, Item, Operand, Source, Step};
+use fxhenn_ckks::{record_relu_approx, relu_depth, HeOpKind, LinearSchedule, OpTrace, RotationSet};
 
 /// Round-count threshold above which a dense layer's outputs are
 /// consolidated into a single ciphertext (at the cost of one level).
@@ -72,31 +73,20 @@ impl std::fmt::Display for HeLayerClass {
     }
 }
 
-/// Where a layer boundary's values live, abstractly (enough to decide
-/// the next layer's lowering strategy and to rebuild the concrete slot
-/// layout in the functional executor).
+/// Where a layer boundary's values live: enough to decide the next
+/// layer's lowering strategy, and to place every value slot for slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Layout {
     /// One ciphertext, values at slots `0..n`.
     SingleContig { n: usize },
-    /// Contiguous across several ciphertexts.
-    MultiContig { n: usize, cts: usize },
+    /// Contiguous across several ciphertexts, `per_ct` values each.
+    MultiContig { n: usize, per_ct: usize },
     /// Stacked dense output: round ciphertexts with values at `s·seg`.
-    Segmented {
-        n: usize,
-        copies: usize,
-        seg: usize,
-        cts: usize,
-    },
+    Segmented { n: usize, copies: usize, seg: usize, cts: usize },
     /// One ciphertext per output, value at slot 0.
     PerOutput { n: usize },
     /// Consolidated dense output: one ciphertext, values at `s·seg + r`.
-    ScatteredSingle {
-        n: usize,
-        copies: usize,
-        seg: usize,
-        rounds: usize,
-    },
+    ScatteredSingle { n: usize, copies: usize, seg: usize, rounds: usize },
     /// Hybrid-diagonal dense output: one ciphertext, value `k` at slot
     /// `(k / m)·seg + k % m`; the other slots hold fold residue that the
     /// next layer's zero weights mask.
@@ -128,71 +118,36 @@ pub struct DensePlan {
     pub consolidate_shifts: Vec<usize>,
 }
 
-impl DensePlan {
-    /// All distinct rotation steps this plan needs Galois keys for.
-    pub fn rotation_steps(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .stack_shifts
-            .iter()
-            .chain(&self.sum_shifts)
-            .chain(&self.consolidate_shifts)
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-}
-
 /// Computes the dense lowering decisions for an input layout, output
 /// width and slot count — shared by the analytic lowering and the
 /// functional executor so they can never diverge.
 pub fn plan_dense(input: &Layout, d_out: usize, slots: usize) -> DensePlan {
     let d_in = input.value_count();
     let stacked = matches!(input, Layout::SingleContig { .. }) && next_pow2(d_in) * 2 <= slots;
-    if stacked {
+    let (seg, copies, stack_shifts, sum_shifts) = if stacked {
         let seg = next_pow2(d_in);
         let copies = slots / seg;
-        let rounds = d_out.div_ceil(copies);
-        let stack_shifts = (0..copies.trailing_zeros())
-            .map(|t| slots - seg * (1 << t))
-            .collect();
-        let sum_shifts = (0..seg.trailing_zeros()).map(|t| 1usize << t).collect();
-        let consolidate = rounds > CONSOLIDATE_THRESHOLD;
-        let consolidate_shifts = if consolidate {
-            (1..rounds).map(|r| (slots - r % slots) % slots).collect()
-        } else {
-            Vec::new()
-        };
-        DensePlan {
-            stacked,
-            seg,
-            copies,
-            rounds,
-            consolidate,
-            stack_shifts,
-            sum_shifts,
-            consolidate_shifts,
-        }
+        let stack = (0..copies.trailing_zeros()).map(|t| slots - seg * (1 << t)).collect();
+        (seg, copies, stack, pow2_steps(1, seg).collect())
     } else {
-        let rounds = d_out;
-        let sum_shifts = input.rotate_sum_shifts(slots);
-        let consolidate = rounds > CONSOLIDATE_THRESHOLD;
-        let consolidate_shifts = if consolidate {
-            (1..rounds).map(|r| (slots - r % slots) % slots).collect()
-        } else {
-            Vec::new()
-        };
-        DensePlan {
-            stacked,
-            seg: 1,
-            copies: 1,
-            rounds,
-            consolidate,
-            stack_shifts: Vec::new(),
-            sum_shifts,
-            consolidate_shifts,
-        }
+        (1, 1, Vec::new(), input.rotate_sum_shifts(slots))
+    };
+    let rounds = d_out.div_ceil(copies);
+    let consolidate = rounds > CONSOLIDATE_THRESHOLD;
+    let consolidate_shifts = if consolidate {
+        (1..rounds).map(|r| (slots - r % slots) % slots).collect()
+    } else {
+        Vec::new()
+    };
+    DensePlan {
+        stacked,
+        seg,
+        copies,
+        rounds,
+        consolidate,
+        stack_shifts,
+        sum_shifts,
+        consolidate_shifts,
     }
 }
 
@@ -217,7 +172,8 @@ impl Layout {
             | Layout::ScatteredSingle { .. }
             | Layout::Blocked { .. }
             | Layout::Windowed { .. } => 1,
-            Layout::MultiContig { cts, .. } | Layout::Segmented { cts, .. } => cts,
+            Layout::MultiContig { n, per_ct } => n.div_ceil(per_ct),
+            Layout::Segmented { cts, .. } => cts,
             Layout::PerOutput { n } => n,
         }
     }
@@ -225,41 +181,33 @@ impl Layout {
     /// Left-rotation steps of a full rotate-and-sum collapsing every
     /// value of one (possibly ct-accumulated) ciphertext into slot 0.
     pub fn rotate_sum_shifts(&self, slots: usize) -> Vec<usize> {
+        let across = |copies: usize, seg: usize| pow2_steps(seg, seg * next_pow2(copies));
         match *self {
-            Layout::SingleContig { n } => {
-                (0..next_pow2(n).trailing_zeros()).map(|t| 1usize << t).collect()
-            }
-            Layout::MultiContig { .. } => (0..next_pow2(slots).trailing_zeros())
-                .map(|t| 1usize << t)
-                .collect(),
-            Layout::Segmented { copies, seg, .. } => (0..next_pow2(copies).trailing_zeros())
-                .map(|t| seg << t)
-                .collect(),
+            Layout::SingleContig { n } => pow2_steps(1, next_pow2(n)).collect(),
+            Layout::MultiContig { .. } => pow2_steps(1, next_pow2(slots)).collect(),
+            Layout::Segmented { copies, seg, .. } => across(copies, seg).collect(),
             Layout::PerOutput { .. } => Vec::new(),
             Layout::ScatteredSingle { copies, seg, rounds, .. } => {
-                let within: Vec<usize> = (0..next_pow2(rounds).trailing_zeros())
-                    .map(|t| 1usize << t)
-                    .collect();
-                let across = (0..next_pow2(copies).trailing_zeros()).map(|t| seg << t);
-                within.into_iter().chain(across).collect()
+                pow2_steps(1, next_pow2(rounds)).chain(across(copies, seg)).collect()
             }
             Layout::Blocked { m, seg, .. } => pow2_steps(1, m).chain(pow2_steps(seg, slots)).collect(),
             Layout::Windowed { m, .. } => pow2_steps(m, slots).collect(),
         }
     }
 
-    /// Where each value lives, slot for slot (`None` for the layouts
-    /// whose placement also depends on how they were produced).
-    pub fn placements(&self, slots: usize) -> Option<Vec<(usize, usize)>> {
-        match *self {
-            Layout::Blocked { n, m, seg } => {
-                Some((0..n).map(|k| (0, (k / m) * seg + k % m)).collect())
-            }
-            Layout::Windowed { n, m } => {
-                Some((0..n).map(|k| (0, (slots - m * k % slots) % slots)).collect())
-            }
-            _ => None,
-        }
+    /// Where each value lives: `(ciphertext, slot)` per value.
+    pub fn placements(&self, slots: usize) -> Vec<(usize, usize)> {
+        let n = self.value_count();
+        let at = |k: usize| match *self {
+            Layout::SingleContig { .. } => (0, k),
+            Layout::MultiContig { per_ct, .. } => (k / per_ct, k % per_ct),
+            Layout::Segmented { copies, seg, .. } => (k / copies, (k % copies) * seg),
+            Layout::PerOutput { .. } => (k, 0),
+            Layout::ScatteredSingle { copies, seg, .. } => (0, (k % copies) * seg + k / copies),
+            Layout::Blocked { m, seg, .. } => (0, (k / m) * seg + k % m),
+            Layout::Windowed { m, .. } => (0, (slots - m * k % slots) % slots),
+        };
+        (0..n).map(at).collect()
     }
 }
 
@@ -279,17 +227,6 @@ pub struct LinearPlan {
     pub schedule: LinearSchedule,
     /// Where the outputs land.
     pub output: Layout,
-}
-
-impl LinearPlan {
-    /// All distinct rotation steps this plan needs Galois keys for.
-    pub fn rotation_steps(&self) -> Vec<usize> {
-        let mut v = self.schedule.rotation_steps();
-        v.extend(&self.stack_shifts);
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 /// Plans a dense layer as a single linear transform, when its input
@@ -316,11 +253,7 @@ pub fn plan_linear(input: &Layout, d_out: usize, slots: usize) -> Option<LinearP
             (dense.stacked && m <= dense.seg).then(|| LinearPlan {
                 stack_shifts: dense.stack_shifts,
                 schedule: LinearSchedule::bsgs(m, pow2_steps(m, dense.seg).collect()),
-                output: Layout::Blocked {
-                    n: d_out,
-                    m,
-                    seg: dense.seg,
-                },
+                output: Layout::Blocked { n: d_out, m, seg: dense.seg },
             })
         }
         Layout::Blocked { m, seg, .. } if d_out * m <= seg => Some(LinearPlan {
@@ -372,11 +305,7 @@ impl HeLayerPlan {
 
     /// HE word-MACs of this layer (paper Table IV "MACs of HOPs").
     pub fn he_macs(&self, degree: usize) -> u64 {
-        self.trace
-            .records()
-            .iter()
-            .map(|r| op_he_macs(r.kind, r.level, degree))
-            .sum()
+        self.trace.records().iter().map(|r| op_he_macs(r.kind, r.level, degree)).sum()
     }
 }
 
@@ -415,10 +344,7 @@ impl HeCnnProgram {
 
     /// Encoded-plaintext model size in bytes (paper Table VI "Mod.Size").
     pub fn model_size_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.plaintext_words * std::mem::size_of::<u64>())
-            .sum()
+        self.layers.iter().map(|l| l.plaintext_words * std::mem::size_of::<u64>()).sum()
     }
 
     /// Total HE word-MACs.
@@ -436,10 +362,7 @@ impl HeCnnProgram {
     /// profile: the set to cut the keys to
     /// ([`fxhenn_ckks::KeyGenerator::galois_keys_at`]).
     pub fn required_rotations(&self) -> RotationSet {
-        self.layers
-            .iter()
-            .flat_map(|l| l.rotation_steps.with_levels())
-            .collect()
+        self.layers.iter().flat_map(|l| l.rotation_steps.with_levels()).collect()
     }
 }
 
@@ -488,42 +411,9 @@ fn add_missing_steps(program: &mut HeCnnProgram, other: &[RotationSet]) {
     }
 }
 
-/// Rotation steps, output layout and levels consumed of a dense-like
-/// layer under `profile` — the part of its lowering that needs no trace,
-/// which is all the *other* profile is followed for.
-fn dense_route(
-    input: &Layout,
-    d_out: usize,
-    slots: usize,
-    profile: LoweringProfile,
-) -> (Vec<usize>, Layout, usize) {
-    if let (LoweringProfile::Optimized, Some(plan)) = (profile, plan_linear(input, d_out, slots)) {
-        return (plan.rotation_steps(), plan.output, 1);
-    }
-    let plan = plan_dense(input, d_out, slots);
-    let (copies, seg) = (plan.copies, plan.seg);
-    let output = match (plan.stacked, plan.consolidate) {
-        (true, false) => Layout::Segmented { n: d_out, copies, seg, cts: plan.rounds },
-        (false, false) => Layout::PerOutput { n: d_out },
-        // Consolidated: one ciphertext (a per-output plan has copies = seg = 1).
-        (_, true) => Layout::ScatteredSingle { n: d_out, copies, seg, rounds: plan.rounds },
-    };
-    (plan.rotation_steps(), output, 1 + usize::from(plan.consolidate))
-}
-
-/// A layer boundary under the profile being lowered (`own`) and under
-/// the other one, which is followed only for its rotation steps and the
-/// level it reaches them at.
-#[derive(Clone)]
-struct Boundary {
-    own: Layout,
-    other: Layout,
-    other_level: usize,
-}
-
 /// Lowers `net` under `profile` alone; the second value lists, per
-/// layer, the rotation steps the other profile takes there, at its entry
-/// level.
+/// layer, the rotation steps the other profile takes there: the same
+/// walk on a recorder without a trace, as far as that profile gets.
 fn lower_profile(
     net: &Network,
     degree: usize,
@@ -531,163 +421,22 @@ fn lower_profile(
     profile: LoweringProfile,
 ) -> Result<(HeCnnProgram, Vec<RotationSet>), LowerError> {
     let slots = degree / 2;
-    let mut level = max_level;
-    let mut shape = net.input_shape().to_vec();
-    let mut layout: Option<Boundary> = None;
-    let mut plans = Vec::with_capacity(net.layer_count());
-    let mut other_steps = vec![RotationSet::default(); net.layer_count()];
-    if net.layer_count() == 0 {
-        return Err(LowerError::EmptyNetwork);
-    }
-    let other_profile = match profile {
+    let (_, conv, groups) = front_conv(net, slots)?;
+    let input = vec![vec![max_level; conv.offset_count()]; groups];
+    let record = |profile, trace: Option<OpTrace>| {
+        let mut rec = Recorder { trace, rotates_by: vec![0; slots.div_ceil(64)], layers: vec![] };
+        let done = walk(&mut rec, net, &input, slots, profile);
+        (rec.layers, done)
+    };
+    let (layers, done) = record(profile, Some(OpTrace::new()));
+    done?;
+    let other = match profile {
         LoweringProfile::PaperFaithful => LoweringProfile::Optimized,
         LoweringProfile::Optimized => LoweringProfile::PaperFaithful,
     };
-    let dense = |name: &str, at: &Boundary, d_out: usize, level: usize| {
-        let (plan, own) = lower_dense_like(name, &at.own, d_out, slots, level, profile);
-        let (steps, other, used) = dense_route(&at.other, d_out, slots, other_profile);
-        let steps = RotationSet::at_level(steps, at.other_level);
-        let other_level = at.other_level.saturating_sub(used);
-        (plan, Boundary { own, other, other_level }, steps)
-    };
-
-    for (idx, (name, layer)) in net.layers().iter().enumerate() {
-        if idx == 0 && !matches!(layer, Layer::Conv(_)) {
-            return Err(LowerError::FirstLayerNotConv);
-        }
-        let need_input = |layout: &Option<Boundary>| {
-            layout.clone().ok_or_else(|| LowerError::MissingInput {
-                layer: name.clone(),
-            })
-        };
-        let plan = match layer {
-            Layer::Conv(conv) => {
-                if idx == 0 {
-                    let (p, l2) = lower_first_conv(name, conv, &shape, slots, level, profile)?;
-                    let (oh, ow) = conv.output_size(shape[1], shape[2]);
-                    shape = vec![conv.out_channels, oh, ow];
-                    layout = Some(Boundary {
-                        own: l2.clone(),
-                        other: l2,
-                        other_level: p.level_out,
-                    });
-                    level = p.level_out;
-                    p
-                } else {
-                    // Mid-network convolution: lowered as a dense layer
-                    // over the flattened input (rotation-based).
-                    let (oh, ow) = conv.output_size(shape[1], shape[2]);
-                    let d_out = conv.out_channels * oh * ow;
-                    let (p, l2, steps) = dense(name, &need_input(&layout)?, d_out, level);
-                    other_steps[idx] = steps;
-                    shape = vec![conv.out_channels, oh, ow];
-                    layout = Some(l2);
-                    level = p.level_out;
-                    p
-                }
-            }
-            Layer::Activation(_) => {
-                let p = lower_activation(name, &need_input(&layout)?.own, level);
-                level = p.level_out;
-                same_drop(&mut layout, &p);
-                p
-            }
-            Layer::Dense(d) => {
-                let lay = need_input(&layout)?;
-                if lay.own.value_count() != d.in_features {
-                    return Err(LowerError::DenseSizeMismatch {
-                        layer: name.clone(),
-                        expected: d.in_features,
-                        got: lay.own.value_count(),
-                    });
-                }
-                let (p, l2, steps) = dense(name, &lay, d.out_features, level);
-                other_steps[idx] = steps;
-                shape = vec![d.out_features];
-                layout = Some(l2);
-                level = p.level_out;
-                p
-            }
-            Layer::AvgPool(pool) => {
-                // Average pooling is a sparse linear map: lowered exactly
-                // like a dense layer (rotate-and-sum).
-                let lay = need_input(&layout)?;
-                if shape.len() != 3 {
-                    return Err(LowerError::NotChw {
-                        layer: name.clone(),
-                        rank: shape.len(),
-                    });
-                }
-                let (oh, ow) = pool.output_size(shape[1], shape[2]);
-                let d_out = shape[0] * oh * ow;
-                let (p, l2, steps) = dense(name, &lay, d_out, level);
-                other_steps[idx] = steps;
-                shape = vec![shape[0], oh, ow];
-                layout = Some(l2);
-                level = p.level_out;
-                p
-            }
-            Layer::Scale(cs) => {
-                // Per-channel affine map: one PCmult + Rescale + PCadd per
-                // ciphertext — an NKS layer that preserves the layout.
-                let lay = need_input(&layout)?;
-                if shape.len() != 3 {
-                    return Err(LowerError::NotChw {
-                        layer: name.clone(),
-                        rank: shape.len(),
-                    });
-                }
-                if shape[0] != cs.factors.len() {
-                    return Err(LowerError::ChannelMismatch {
-                        layer: name.clone(),
-                        scales: cs.factors.len(),
-                        channels: shape[0],
-                    });
-                }
-                let p = lower_channel_scale(name, &lay.own, slots, level);
-                level = p.level_out;
-                same_drop(&mut layout, &p);
-                p
-            }
-            Layer::SignAct(relu) => {
-                let lay = need_input(&layout)?;
-                let depth = 3 * relu.preset.stages().len() + 2;
-                if level < depth + 1 {
-                    return Err(LowerError::LevelBudgetExhausted {
-                        layer: name.clone(),
-                        max_level,
-                    });
-                }
-                let p = lower_sign_activation(name, &lay.own, relu.preset, level);
-                level = p.level_out;
-                same_drop(&mut layout, &p);
-                p
-            }
-        };
-        if plan.level_out < 1 {
-            return Err(LowerError::LevelBudgetExhausted {
-                layer: name.clone(),
-                max_level,
-            });
-        }
-        plans.push(plan);
-    }
-
-    let program = HeCnnProgram {
-        network_name: net.name().to_string(),
-        degree,
-        max_level,
-        layers: plans,
-    };
-    Ok((program, other_steps))
-}
-
-/// A layer lowered the same way under both profiles takes the other
-/// profile's level down by as much as its own.
-fn same_drop(layout: &mut Option<Boundary>, plan: &HeLayerPlan) {
-    if let Some(b) = layout {
-        b.other_level = b.other_level.saturating_sub(plan.level_in - plan.level_out);
-    }
+    let other = record(other, None).0.into_iter().map(|l| l.rotation_steps).collect();
+    let network_name = net.name().to_string();
+    Ok((HeCnnProgram { network_name, degree, max_level, layers }, other))
 }
 
 /// Lowers a network into an HE program for ring degree `degree` with
@@ -703,246 +452,120 @@ pub fn lower_network(net: &Network, degree: usize, max_level: usize) -> HeCnnPro
     try_lower_network(net, degree, max_level).expect("lowering")
 }
 
-fn lower_first_conv(
-    name: &str,
-    conv: &Conv2d,
-    shape: &[usize],
-    slots: usize,
-    level: usize,
-    profile: LoweringProfile,
-) -> Result<(HeLayerPlan, Layout), LowerError> {
-    let (oh, ow) = conv.output_size(shape[1], shape[2]);
-    let positions = oh * ow;
-    if positions > slots {
-        return Err(LowerError::ConvDoesNotFitSlots {
-            layer: name.to_string(),
-            positions,
-            slots,
+/// The lowering's [`Backend`]: a ciphertext is its level. Every op goes
+/// into the layer's trace (when there is one), every rotation step into
+/// the layer's key set, at the layer's entry level.
+struct Recorder {
+    trace: Option<OpTrace>,
+    /// The layer's rotation steps so far, as a bit set: step `s` is bit
+    /// `s % 64` of word `s / 64`.
+    rotates_by: Vec<u64>,
+    layers: Vec<HeLayerPlan>,
+}
+
+impl Recorder {
+    fn note_step(&mut self, step: usize) {
+        if step / 64 >= self.rotates_by.len() {
+            self.rotates_by.resize(step / 64 + 1, 0);
+        }
+        self.rotates_by[step / 64] |= 1 << (step % 64);
+    }
+
+    fn op(&mut self, kind: HeOpKind, level: usize, out: usize) -> Result<usize, LowerError> {
+        if let Some(t) = &mut self.trace {
+            t.record(kind, level);
+        }
+        Ok(out)
+    }
+}
+
+impl Backend for Recorder {
+    type Ct = usize;
+    type Error = LowerError;
+
+    fn level(ct: &usize) -> usize {
+        *ct
+    }
+
+    fn leave(&mut self, at: &At<'_>, step: &Step<usize>) -> Result<(), LowerError> {
+        let mut steps = Vec::new();
+        for (w, word) in self.rotates_by.iter_mut().enumerate() {
+            while *word != 0 {
+                steps.push(w * 64 + word.trailing_zeros() as usize);
+                *word &= *word - 1;
+            }
+        }
+        self.layers.push(HeLayerPlan {
+            name: at.name.to_string(),
+            class: step.class,
+            trace: self.trace.as_mut().map(std::mem::take).unwrap_or_default(),
+            input_cts: at.cts,
+            output_cts: step.out.len(),
+            level_in: at.level,
+            level_out: step.out.first().copied().unwrap_or(0),
+            plaintext_words: step.words,
+            rotation_steps: RotationSet::at_level(steps, at.level),
         });
+        Ok(())
     }
-    let maps_per_group = (slots / positions).min(conv.out_channels).max(1);
-    let groups = conv.out_channels.div_ceil(maps_per_group);
-    let k = conv.offset_count();
 
-    let mut trace = OpTrace::new();
-    for _g in 0..groups {
-        match profile {
-            LoweringProfile::PaperFaithful => {
-                trace.record_many(HeOpKind::PcMult, level, k);
-                trace.record_many(HeOpKind::Rescale, level, k);
-                trace.record_many(HeOpKind::CcAdd, level - 1, k - 1);
-            }
-            // The taps are summed at scale Δ² and rescaled once.
-            LoweringProfile::Optimized => {
-                trace.record(HeOpKind::PcMult, level);
-                for _ in 1..k {
-                    trace.record(HeOpKind::PcMult, level);
-                    trace.record(HeOpKind::CcAdd, level);
-                }
-                trace.record(HeOpKind::Rescale, level);
-            }
+    fn mul_plain(&mut self, x: &usize, _: Operand<'_>) -> Result<usize, LowerError> {
+        self.op(HeOpKind::PcMult, *x, *x)
+    }
+
+    fn add_plain(&mut self, x: &usize, _: Operand<'_>) -> Result<usize, LowerError> {
+        self.op(HeOpKind::PcAdd, *x, *x)
+    }
+
+    fn add(&mut self, a: &usize, _: &usize) -> Result<usize, LowerError> {
+        self.op(HeOpKind::CcAdd, *a, *a)
+    }
+
+    fn rescale(&mut self, x: &usize) -> Result<usize, LowerError> {
+        self.op(HeOpKind::Rescale, *x, x.saturating_sub(1))
+    }
+
+    fn rotate(&mut self, x: &usize, step: usize) -> Result<usize, LowerError> {
+        self.note_step(step);
+        self.op(HeOpKind::Rotate, *x, *x)
+    }
+
+    fn square(&mut self, x: &usize) -> Result<usize, LowerError> {
+        self.op(HeOpKind::CcMult, *x, *x)?;
+        self.op(HeOpKind::Relinearize, *x, *x)?;
+        self.rescale(x)
+    }
+
+    fn relu(&mut self, x: &usize, relu: &SignRelu) -> Result<usize, LowerError> {
+        if let Some(t) = &mut self.trace {
+            record_relu_approx(relu.preset, *x, t);
         }
-        trace.record(HeOpKind::PcAdd, level - 1);
+        Ok(x - relu_depth(relu.preset))
     }
-    let n_values = conv.out_channels * positions;
-    let layout = if groups == 1 {
-        Layout::SingleContig { n: n_values }
-    } else {
-        Layout::MultiContig {
-            n: n_values,
-            cts: groups,
+
+    fn linear(&mut self, x: &usize, plan: &LinearPlan, _: Source<'_>) -> Result<usize, LowerError> {
+        for step in plan.schedule.rotation_steps() {
+            self.note_step(step);
         }
-    };
-    let plan = HeLayerPlan {
-        name: name.to_string(),
-        class: HeLayerClass::Nks,
-        trace,
-        input_cts: groups * k,
-        output_cts: groups,
-        level_in: level,
-        level_out: level - 1,
-        plaintext_words: groups * (k + 1) * slots * 2 * level,
-        rotation_steps: RotationSet::default(),
-    };
-    Ok((plan, layout))
-}
-
-fn lower_activation(name: &str, layout: &Layout, level: usize) -> HeLayerPlan {
-    let cts = layout.ct_count();
-    let mut trace = OpTrace::new();
-    for _ in 0..cts {
-        trace.record(HeOpKind::CcMult, level);
-        trace.record(HeOpKind::Relinearize, level);
-        trace.record(HeOpKind::Rescale, level);
-    }
-    HeLayerPlan {
-        name: name.to_string(),
-        class: HeLayerClass::Ks,
-        trace,
-        input_cts: cts,
-        output_cts: cts,
-        level_in: level,
-        level_out: level - 1,
-        plaintext_words: 0,
-        rotation_steps: RotationSet::default(),
-    }
-}
-
-/// Lowers a sign-composition ReLU: one composite [`HeOpKind::Sign`]
-/// macro record per preset stage (each consuming three levels:
-/// square, coefficient fold, closing product), then the selection
-/// `x·(1+sgn)/2` — a halving PCmult and the ciphertext product with the
-/// mod-switched input — for two more levels.
-fn lower_sign_activation(
-    name: &str,
-    layout: &Layout,
-    preset: fxhenn_ckks::SignPreset,
-    level: usize,
-) -> HeLayerPlan {
-    let cts = layout.ct_count();
-    let stages = preset.stages().len();
-    let mut trace = OpTrace::new();
-    for _ in 0..cts {
-        let mut lv = level;
-        for _ in 0..stages {
-            trace.record(HeOpKind::Sign, lv);
-            lv -= 3;
+        if let Some(t) = &mut self.trace {
+            plan.schedule.record(*x, t);
         }
-        trace.record(HeOpKind::PcMult, lv);
-        trace.record(HeOpKind::Rescale, lv);
-        trace.record(HeOpKind::CcMult, lv - 1);
-        trace.record(HeOpKind::Relinearize, lv - 1);
-        trace.record(HeOpKind::Rescale, lv - 1);
+        self.op(HeOpKind::PcAdd, x - 1, x - 1)
     }
-    HeLayerPlan {
-        name: name.to_string(),
-        class: HeLayerClass::Ks,
-        trace,
-        input_cts: cts,
-        output_cts: cts,
-        level_in: level,
-        level_out: level - (3 * stages + 2),
-        plaintext_words: 0,
-        rotation_steps: RotationSet::default(),
-    }
-}
 
-fn lower_channel_scale(name: &str, layout: &Layout, slots: usize, level: usize) -> HeLayerPlan {
-    let cts = layout.ct_count();
-    let mut trace = OpTrace::new();
-    for _ in 0..cts {
-        trace.record(HeOpKind::PcMult, level);
-        trace.record(HeOpKind::Rescale, level);
-        trace.record(HeOpKind::PcAdd, level - 1);
-    }
-    HeLayerPlan {
-        name: name.to_string(),
-        class: HeLayerClass::Nks,
-        trace,
-        input_cts: cts,
-        output_cts: cts,
-        level_in: level,
-        level_out: level - 1,
-        plaintext_words: cts * slots * 2 * (2 * level - 1),
-        rotation_steps: RotationSet::default(),
-    }
-}
-
-fn lower_dense_like(
-    name: &str,
-    input: &Layout,
-    d_out: usize,
-    slots: usize,
-    level: usize,
-    profile: LoweringProfile,
-) -> (HeLayerPlan, Layout) {
-    let mut trace = OpTrace::new();
-    let (steps, output, _) = dense_route(input, d_out, slots, profile);
-    let rotation_steps = RotationSet::at_level(steps, level);
-    if let (LoweringProfile::Optimized, Some(plan)) = (profile, plan_linear(input, d_out, slots)) {
-        for _ in &plan.stack_shifts {
-            trace.record(HeOpKind::Rotate, level);
-            trace.record(HeOpKind::CcAdd, level);
+    /// Records the first item and repeats its records for the others.
+    fn items(&mut self, n: usize, item: &Item<'_, Self>) -> Result<Vec<usize>, LowerError> {
+        let start = self.trace.as_ref().map_or(0, |t| t.records().len());
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        plan.schedule.record(level, &mut trace);
-        trace.record(HeOpKind::PcAdd, level - 1);
-        let he_plan = HeLayerPlan {
-            name: name.to_string(),
-            class: HeLayerClass::Ks,
-            trace,
-            input_cts: 1,
-            output_cts: 1,
-            level_in: level,
-            level_out: level - 1,
-            plaintext_words: slots * 2 * (plan.schedule.term_count() * level + level - 1),
-            rotation_steps,
-        };
-        return (he_plan, output);
-    }
-    let plan = plan_dense(input, d_out, slots);
-    let mut plaintext_words = 0usize;
-
-    if plan.stacked {
-        // replicate input into `copies` stacked copies
-        trace.record_many(HeOpKind::Rotate, level, plan.stack_shifts.len());
-        trace.record_many(HeOpKind::CcAdd, level, plan.stack_shifts.len());
-        // per round: weights multiply + rescale, rotate-and-sum within
-        // segments, bias add
-        let rs = plan.sum_shifts.len();
-        for _ in 0..plan.rounds {
-            trace.record(HeOpKind::PcMult, level);
-            trace.record(HeOpKind::Rescale, level);
-            trace.record_many(HeOpKind::Rotate, level - 1, rs);
-            trace.record_many(HeOpKind::CcAdd, level - 1, rs);
-            trace.record(HeOpKind::PcAdd, level - 1);
+        let level = item(self, 0)?;
+        if let Some(t) = &mut self.trace {
+            let one = t.records()[start..].to_vec();
+            (1..n).for_each(|_| t.extend(one.iter().copied()));
         }
-        plaintext_words += plan.rounds * slots * 2 * level; // weight plaintexts
-        plaintext_words += plan.rounds * slots * 2 * (level - 1); // bias plaintexts
-    } else {
-        // One output per round across all input ciphertexts.
-        let m = input.ct_count();
-        let rs = plan.sum_shifts.len();
-        for _ in 0..d_out {
-            trace.record_many(HeOpKind::PcMult, level, m);
-            trace.record_many(HeOpKind::CcAdd, level, m - 1);
-            trace.record(HeOpKind::Rescale, level);
-            trace.record_many(HeOpKind::Rotate, level - 1, rs);
-            trace.record_many(HeOpKind::CcAdd, level - 1, rs);
-            trace.record(HeOpKind::PcAdd, level - 1);
-        }
-        plaintext_words += d_out * m * slots * 2 * level;
-        plaintext_words += d_out * slots * 2 * (level - 1);
+        Ok(vec![level; n])
     }
-    let mut level_out = level - 1;
-
-    // Consolidation: wide layers fold their round ciphertexts back into
-    // one via mask + rotate + add, spending one more level.
-    if plan.consolidate {
-        let lv = level_out;
-        for r in 0..plan.rounds {
-            trace.record(HeOpKind::PcMult, lv); // mask
-            trace.record(HeOpKind::Rescale, lv);
-            if r > 0 {
-                trace.record(HeOpKind::Rotate, lv - 1);
-                trace.record(HeOpKind::CcAdd, lv - 1);
-            }
-        }
-        plaintext_words += plan.rounds * slots * 2 * lv; // mask plaintexts
-        level_out = lv - 1;
-    }
-
-    let he_plan = HeLayerPlan {
-        name: name.to_string(),
-        class: HeLayerClass::Ks,
-        trace,
-        input_cts: input.ct_count(),
-        output_cts: output.ct_count(),
-        level_in: level,
-        level_out,
-        plaintext_words,
-        rotation_steps,
-    };
-    (he_plan, output)
 }
 
 #[cfg(test)]
@@ -977,18 +600,10 @@ mod tests {
 
     #[test]
     fn mnist_layer_classes_match_table2() {
+        use HeLayerClass::{Ks, Nks};
         let prog = lower_network(&fxhenn_mnist(1), 8192, 7);
         let classes: Vec<HeLayerClass> = prog.layers.iter().map(|l| l.class).collect();
-        assert_eq!(
-            classes,
-            [
-                HeLayerClass::Nks,
-                HeLayerClass::Ks,
-                HeLayerClass::Ks,
-                HeLayerClass::Ks,
-                HeLayerClass::Ks
-            ]
-        );
+        assert_eq!(classes, [Nks, Ks, Ks, Ks, Ks]);
     }
 
     #[test]
@@ -1008,15 +623,10 @@ mod tests {
     #[test]
     fn mnist_fc1_dominates_keyswitches() {
         let prog = lower_network(&fxhenn_mnist(1), 8192, 7);
-        let fc1 = prog.layer("Fc1").unwrap();
-        assert!(
-            fc1.key_switch_count() * 2 > prog.key_switch_count(),
-            "Fc1 carries most KS ops ({}/{})",
-            fc1.key_switch_count(),
-            prog.key_switch_count()
-        );
+        let (fc1, all) = (prog.layer("Fc1").unwrap().key_switch_count(), prog.key_switch_count());
+        assert!(fc1 * 2 > all, "Fc1 carries most KS ops ({fc1}/{all})");
         // Fc1 = 25 rounds: 250 rotate-and-sum rotations + 2 stacking
-        assert_eq!(fc1.key_switch_count(), 252);
+        assert_eq!(fc1, 252);
     }
 
     #[test]
@@ -1025,15 +635,9 @@ mod tests {
         let cifar = lower_network(&fxhenn_cifar10(1), 16384, 7);
         // Paper Table VI: 0.83e3 vs 82.73e3 HOPs (~100x).
         let ratio = cifar.hop_count() as f64 / mnist.hop_count() as f64;
-        assert!(
-            (40.0..=200.0).contains(&ratio),
-            "CIFAR/MNIST HOP ratio = {ratio}"
-        );
-        assert!(
-            (30_000..=120_000).contains(&cifar.key_switch_count()),
-            "CIFAR KS = {}",
-            cifar.key_switch_count()
-        );
+        assert!((40.0..=200.0).contains(&ratio), "CIFAR/MNIST HOP ratio = {ratio}");
+        let ks = cifar.key_switch_count();
+        assert!((30_000..=120_000).contains(&ks), "CIFAR KS = {ks}");
     }
 
     #[test]
@@ -1041,11 +645,7 @@ mod tests {
         let prog = lower_network(&fxhenn_cifar10(1), 16384, 7);
         let cnv2 = prog.layer("Cnv2").unwrap();
         assert_eq!(cnv2.output_cts, 1, "2800 outputs consolidated to one ct");
-        assert_eq!(
-            cnv2.level_out,
-            cnv2.level_in - 2,
-            "consolidation costs one extra level"
-        );
+        assert_eq!(cnv2.level_out, cnv2.level_in - 2, "consolidation costs one extra level");
         // Act2 then squares a single ciphertext.
         let act2 = prog.layer("Act2").unwrap();
         assert_eq!(act2.hop_count(), 3);
@@ -1065,27 +665,16 @@ mod tests {
     #[test]
     fn he_macs_explode_relative_to_plain_macs() {
         // Table IV: Cnv1 2.11e4 plain MACs vs 1.198e8 HE MACs (~5700x).
-        let net = fxhenn_mnist(1);
-        let prog = lower_network(&net, 8192, 7);
-        let cnv1 = prog.layer("Cnv1").unwrap();
-        let he = cnv1.he_macs(8192);
-        let plain = 21_125u64;
-        let factor = he / plain;
-        assert!(
-            (1000..=20_000).contains(&factor),
-            "HE/plain MAC factor = {factor}"
-        );
+        let prog = lower_network(&fxhenn_mnist(1), 8192, 7);
+        let factor = prog.layer("Cnv1").unwrap().he_macs(8192) / 21_125;
+        assert!((1000..=20_000).contains(&factor), "HE/plain MAC factor = {factor}");
     }
 
     #[test]
     fn optimized_mnist_is_35_key_switches_on_the_faithful_keys() {
-        let fast = try_lower_network_with(&fxhenn_mnist(1), 8192, 7, LoweringProfile::Optimized)
-            .unwrap();
-        let per_layer: Vec<(usize, usize)> = fast
-            .layers
-            .iter()
-            .map(|l| (l.hop_count(), l.key_switch_count()))
-            .collect();
+        let fast = try_lower_network_with(&fxhenn_mnist(1), 8192, 7, LoweringProfile::Optimized);
+        let fast = fast.unwrap();
+        let per_layer: Vec<_> = fast.layers.iter().map(|l| (l.hop_count(), l.key_switch_count())).collect();
         // Cnv1 25 PCmult + 24 CCadd + Rescale + PCadd; Fc1 2 stack + 7
         // baby + 3 giant + 5 fold rotations; Fc2 9 packing + 7 fold.
         assert_eq!(per_layer, [(51, 0), (3, 1), (89, 17), (3, 1), (44, 16)]);

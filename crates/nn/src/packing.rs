@@ -6,7 +6,8 @@
 //! defines [`CtLayout`] — where each logical value lives, as a
 //! `(ciphertext, slot)` pair — plus the builders that produce the packed
 //! input vectors (client side) and the aligned weight vectors (server
-//! side).
+//! side): the slot values behind every operand handle of the network
+//! walk (`operand_values`).
 //!
 //! ## The three layouts used by the lowering
 //!
@@ -19,8 +20,10 @@
 //!   the natural output layout of the stacked rotate-and-sum dense
 //!   lowering (`c` copies per ciphertext, segment width `seg`).
 
-use crate::layers::Conv2d;
+use crate::layers::{Conv2d, Layer};
+use crate::lowering::{Layout, LinearPlan};
 use crate::tensor::Tensor;
+use crate::walk::{Operand, Source, Which};
 
 /// Where each logical value of a layer boundary lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,8 +195,7 @@ pub fn conv_offset_pack(
     let (oh, ow) = conv.output_size(h, w);
     let positions = oh * ow;
     assert!(positions <= slots, "one map's positions must fit in the slots");
-    let maps_per_group = (slots / positions).min(conv.out_channels).max(1);
-    let groups = conv.out_channels.div_ceil(maps_per_group);
+    let (maps_per_group, groups) = conv_groups(conv, positions, slots);
 
     (0..groups)
         .map(|g| {
@@ -221,77 +223,192 @@ pub fn conv_offset_pack(
         .collect()
 }
 
-/// Weight vectors aligned with [`conv_offset_pack`]: `result[g][i]` holds
-/// `weight(map, offset i)` at every slot of map `map`'s block.
-pub fn conv_offset_weights(conv: &Conv2d, positions: usize, slots: usize) -> Vec<Vec<Vec<f64>>> {
+/// Output maps per ciphertext and the number of such groups, for a
+/// convolution whose maps have `positions` outputs each.
+pub fn conv_groups(conv: &Conv2d, positions: usize, slots: usize) -> (usize, usize) {
     let maps_per_group = (slots / positions).min(conv.out_channels).max(1);
-    let groups = conv.out_channels.div_ceil(maps_per_group);
-    (0..groups)
-        .map(|g| {
-            let maps_here = maps_per_group.min(conv.out_channels - g * maps_per_group);
-            (0..conv.offset_count())
-                .map(|i| {
-                    let c = i / (conv.kernel.0 * conv.kernel.1);
-                    let rest = i % (conv.kernel.0 * conv.kernel.1);
-                    let kh = rest / conv.kernel.1;
-                    let kw = rest % conv.kernel.1;
-                    let mut v = vec![0.0; slots];
-                    for m in 0..maps_here {
-                        let map = g * maps_per_group + m;
-                        let wv = conv.weight(map, c, kh, kw);
-                        for j in 0..positions {
-                            v[m * positions + j] = wv;
-                        }
-                    }
-                    v
-                })
-                .collect()
-        })
-        .collect()
+    (maps_per_group, conv.out_channels.div_ceil(maps_per_group))
 }
 
-/// Bias vectors aligned with the conv output layout: `result[g]` holds
-/// `bias[map]` at every position of that map's block.
-pub fn conv_bias_vectors(conv: &Conv2d, positions: usize, slots: usize) -> Vec<Vec<f64>> {
-    let maps_per_group = (slots / positions).min(conv.out_channels).max(1);
-    let groups = conv.out_channels.div_ceil(maps_per_group);
-    (0..groups)
-        .map(|g| {
-            let maps_here = maps_per_group.min(conv.out_channels - g * maps_per_group);
-            let mut v = vec![0.0; slots];
-            for m in 0..maps_here {
-                let map = g * maps_per_group + m;
-                for j in 0..positions {
-                    v[m * positions + j] = conv.bias[map];
+/// `value(map)` at every slot of each map's block in group `g`.
+fn per_map_block(
+    conv: &Conv2d,
+    positions: usize,
+    slots: usize,
+    g: usize,
+    value: impl Fn(usize) -> f64,
+) -> Vec<f64> {
+    let (maps_per_group, _) = conv_groups(conv, positions, slots);
+    let maps_here = maps_per_group.min(conv.out_channels - g * maps_per_group);
+    let mut v = vec![0.0; slots];
+    for m in 0..maps_here {
+        v[m * positions..(m + 1) * positions].fill(value(g * maps_per_group + m));
+    }
+    v
+}
+
+/// The weight vector aligned with [`conv_offset_pack`]'s ciphertext for
+/// group `g`, kernel offset `i`: `weight(map, offset i)` at every slot of
+/// each map's block.
+pub fn conv_tap_weights(conv: &Conv2d, positions: usize, slots: usize, g: usize, i: usize) -> Vec<f64> {
+    let taps = conv.kernel.0 * conv.kernel.1;
+    let (c, kh, kw) = (i / taps, i % taps / conv.kernel.1, i % conv.kernel.1);
+    per_map_block(conv, positions, slots, g, |map| conv.weight(map, c, kh, kw))
+}
+
+/// The bias vector of group `g`, aligned with the conv output layout:
+/// `bias[map]` at every position of each map's block.
+pub fn conv_bias_vector(conv: &Conv2d, positions: usize, slots: usize, g: usize) -> Vec<f64> {
+    per_map_block(conv, positions, slots, g, |map| conv.bias[map])
+}
+
+/// Output positions per map of a convolution over an input of `shape`.
+pub(crate) fn conv_positions(conv: &Conv2d, shape: &[usize]) -> usize {
+    let (oh, ow) = conv.output_size(shape[1], shape[2]);
+    oh * ow
+}
+
+/// The slot values of a walk's operand handle (see [`Which`]).
+pub(crate) fn operand_values(op: Operand<'_>) -> Vec<f64> {
+    let src = op.src;
+    if let (0, Layer::Conv(conv)) = (src.index, src.layer) {
+        let positions = conv_positions(conv, src.shape);
+        return match op.which {
+            Which::Weights(g, i) => conv_tap_weights(conv, positions, src.slots, g, i),
+            Which::Bias(g) | Which::Mask(g) => conv_bias_vector(conv, positions, src.slots, g),
+        };
+    }
+    let mut v = vec![0.0; src.slots];
+    match (src.layer, op.which) {
+        (Layer::Scale(cs), which) => {
+            let (m, per_channel) = match which {
+                Which::Weights(m, _) => (m, &cs.factors),
+                Which::Bias(m) | Which::Mask(m) => (m, &cs.shifts),
+            };
+            let per_map = src.shape[1] * src.shape[2];
+            for (value, (ct, slot)) in src.input.placements(src.slots).into_iter().enumerate() {
+                if ct == m {
+                    v[slot] = per_channel[value / per_map];
                 }
             }
-            v
-        })
-        .collect()
+        }
+        // Round r computes outputs r·copies + s at slot s·seg: each one's
+        // weights against the values ciphertext m holds.
+        (_, Which::Weights(r, m)) => {
+            let placements = src.input.placements(src.slots);
+            for (s, k) in (r * src.copies..src.d_out).take(src.copies).enumerate() {
+                for (value, &(ct, slot)) in placements.iter().enumerate() {
+                    if ct == m {
+                        v[s * src.seg + slot] = dense_weight(src, k, value);
+                    }
+                }
+            }
+        }
+        (_, which @ (Which::Bias(r) | Which::Mask(r))) => {
+            for (s, k) in (r * src.copies..src.d_out).take(src.copies).enumerate() {
+                v[s * src.seg] = match which {
+                    Which::Mask(_) => 1.0,
+                    _ => dense_bias(src, k),
+                };
+            }
+        }
+    }
+    v
 }
 
-/// The contiguous layout of a convolution's output under offset packing:
-/// value `(map, position)` in channel-major order, grouped by
-/// `maps_per_group` maps per ciphertext.
-pub fn conv_output_layout(conv: &Conv2d, positions: usize, slots: usize) -> CtLayout {
-    let maps_per_group = (slots / positions).min(conv.out_channels).max(1);
-    let placements = (0..conv.out_channels * positions)
-        .map(|v| {
-            let map = v / positions;
-            let j = v % positions;
-            let g = map / maps_per_group;
-            let m = map % maps_per_group;
-            (g, m * positions + j)
-        })
-        .collect();
-    let groups = conv.out_channels.div_ceil(maps_per_group);
-    CtLayout::new(slots, groups, placements)
+/// A dense-like layer's weight from flattened input `v` to output `k`.
+pub(crate) fn dense_weight(src: Source<'_>, k: usize, v: usize) -> f64 {
+    match src.layer {
+        Layer::Dense(d) => d.weight(k, v),
+        Layer::Conv(conv) => conv_dense_weight(conv, src.shape, k, v),
+        Layer::AvgPool(pool) => pool.dense_weight(src.shape, k, v),
+        _ => 0.0,
+    }
 }
+
+/// A dense-like layer's bias of output `k` (pooling has none).
+pub(crate) fn dense_bias(src: Source<'_>, k: usize) -> f64 {
+    match src.layer {
+        Layer::Dense(d) => d.bias[k],
+        Layer::Conv(conv) => conv.bias[k / conv_positions(conv, src.shape)],
+        _ => 0.0,
+    }
+}
+
+/// The slot vector that multiplies `rot(x, g·stride + b)` in a dense
+/// layer planned by [`crate::plan_linear`] — the form
+/// [`fxhenn_ckks::LinearTransform::new`] and
+/// [`fxhenn_ckks::LinearSchedule::apply_plain`] take diagonals in.
+pub(crate) fn linear_diagonal(
+    input: &Layout,
+    plan: &LinearPlan,
+    d_out: usize,
+    slots: usize,
+    weight: &dyn Fn(usize, usize) -> f64,
+    g: usize,
+    b: usize,
+) -> Vec<f64> {
+    let d_in = input.value_count();
+    let shift = g * plan.schedule.stride + b;
+    let mut diag = vec![0.0; slots];
+    match (input, &plan.output) {
+        // Hybrid diagonals over the stacked input: block c computes
+        // outputs m·c .. m·c + m, and diagonal `shift` pairs slot p of a
+        // block with input (p + shift) mod seg.
+        (Layout::SingleContig { .. }, &Layout::Blocked { m, seg, .. }) => {
+            for (j, d) in diag.iter_mut().enumerate() {
+                let (c, p) = (j / seg, j % seg);
+                let (k, v) = (m * c + p % m, (p + shift) % seg);
+                if k < d_out && v < d_in {
+                    *d = weight(k, v);
+                }
+            }
+        }
+        // Output g's weight row over the blocked input; the schedule
+        // moves the product `shift` slots left, into window g.
+        (&Layout::Blocked { m, seg, .. }, Layout::Windowed { .. }) => {
+            for v in 0..d_in {
+                diag[(v / m) * seg + v % m] = weight(g, v);
+            }
+            diag.rotate_left(shift % slots);
+        }
+        other => unreachable!("plan_linear pairs no such layouts: {other:?}"),
+    }
+    diag
+}
+
+/// The weight a mid-network convolution contributes between flattened
+/// input value `v` and flattened output value `k`, treating the conv as
+/// a (sparse) dense matrix.
+pub fn conv_dense_weight(conv: &Conv2d, in_shape: &[usize], k: usize, v: usize) -> f64 {
+    let (h, w) = (in_shape[1], in_shape[2]);
+    let (_, ow) = conv.output_size(h, w);
+    let positions = conv_positions(conv, in_shape);
+    let (map, oy, ox) = (k / positions, k % positions / ow, k % ow);
+    let (c, y, x) = (v / (h * w), v % (h * w) / w, v % w);
+    let (base_y, base_x) = (oy * conv.stride.0, ox * conv.stride.1);
+    if y >= base_y && y < base_y + conv.kernel.0 && x >= base_x && x < base_x + conv.kernel.1 {
+        conv.weight(map, c, y - base_y, x - base_x)
+    } else {
+        0.0
+    }
+}
+
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::Conv2d;
+
+    /// Where a convolution's output values land (`Layout::MultiContig`).
+    fn conv_output_layout(conv: &Conv2d, positions: usize, slots: usize) -> CtLayout {
+        let (maps_per_group, groups) = conv_groups(conv, positions, slots);
+        let layout = crate::lowering::Layout::MultiContig {
+            n: conv.out_channels * positions,
+            per_ct: maps_per_group * positions,
+        };
+        CtLayout::new(slots, groups, layout.placements(slots))
+    }
 
     #[test]
     fn contiguous_layout_splits_across_cts() {
@@ -366,20 +483,16 @@ mod tests {
         let input = Tensor::from_data(&[1, 3, 3], (1..=9).map(|v| v as f64).collect());
         let slots = 16; // positions = 4, 2 maps fit in one group
         let packed = conv_offset_pack(&input, &conv, slots);
-        let weights = conv_offset_weights(&conv, 4, slots);
-        let biases = conv_bias_vectors(&conv, 4, slots);
         assert_eq!(packed.len(), 1, "one group");
         assert_eq!(packed[0].len(), 4, "four kernel offsets");
 
         // Emulate the HE computation in plaintext: sum_i pack_i * w_i + b.
-        let mut acc = vec![0.0; slots];
-        for i in 0..4 {
-            for s in 0..slots {
-                acc[s] += packed[0][i][s] * weights[0][i][s];
+        let mut acc = conv_bias_vector(&conv, 4, slots, 0);
+        for (i, tap) in packed[0].iter().enumerate() {
+            let weights = conv_tap_weights(&conv, 4, slots, 0, i);
+            for (a, (x, w)) in acc.iter_mut().zip(tap.iter().zip(&weights)) {
+                *a += x * w;
             }
-        }
-        for s in 0..slots {
-            acc[s] += biases[0][s];
         }
         // Compare against the real conv.
         let expected = conv.forward(&input);

@@ -1,7 +1,7 @@
 //! Encoded layer operands, kept with the [`Network`](crate::Network)
 //! they were encoded from.
 //!
-//! The optimized executor multiplies by the same weight, mask and bias
+//! The optimized executor multiplies by the same weight and bias
 //! plaintexts in every request, and encoding one costs about as much as
 //! the multiplication it feeds. A network therefore owns one
 //! [`OperandSet`] — every layer's plaintexts for one CKKS context and one
@@ -10,11 +10,14 @@
 //! every run after it, from any thread. A run under another context or
 //! input shape replaces the set; mutating the network's layers drops it.
 
-use fxhenn_ckks::{Ciphertext, CkksContext, LinearTransform, Plaintext};
+use crate::layers::Layer;
+use crate::packing::{conv_groups, conv_positions};
+use crate::walk::{Operand, Which};
+use fxhenn_ckks::{Ciphertext, CkksContext, EvalError, LinearTransform, Plaintext};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// What an [`OperandSet`] was encoded for.
-#[derive(PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 struct OperandKey {
     degree: usize,
     moduli: Vec<u64>,
@@ -36,18 +39,60 @@ impl OperandKey {
 }
 
 /// One layer's plaintext operands.
+#[derive(Debug)]
 pub(crate) enum LayerOperands {
-    /// First convolution: per output group, the tap weights and the bias.
-    Conv(Vec<(Vec<Plaintext>, Plaintext)>),
+    /// First convolution: per output group, the tap weights and then the
+    /// bias, each encoded by the first run that uses it.
+    Conv(Vec<OnceLock<Plaintext>>),
     /// A dense layer as one linear transform, and its bias.
     Linear(LinearTransform, Plaintext),
 }
 
 /// Every layer's operands for one context and input shape; a layer's
 /// slot is filled by the first run that reaches it.
+#[derive(Debug)]
 pub(crate) struct OperandSet {
     key: OperandKey,
     pub(crate) layers: Vec<OnceLock<LayerOperands>>,
+}
+
+impl OperandSet {
+    /// The slot keeping `op`, if it is one of the first convolution's:
+    /// per group, one slot per tap, then the bias.
+    pub(crate) fn conv_slot(&self, op: Operand<'_>) -> Option<&OnceLock<Plaintext>> {
+        let (0, Layer::Conv(conv)) = (op.src.index, op.src.layer) else {
+            return None;
+        };
+        let taps = conv.offset_count() + 1;
+        let at = match op.which {
+            Which::Weights(g, i) => g * taps + i,
+            Which::Bias(g) | Which::Mask(g) => g * taps + taps - 1,
+        };
+        let slots = self.layers.first()?.get_or_init(|| {
+            let positions = conv_positions(conv, op.src.shape);
+            let (_, groups) = conv_groups(conv, positions, op.src.slots);
+            LayerOperands::Conv((0..groups * taps).map(|_| OnceLock::new()).collect())
+        });
+        match slots {
+            LayerOperands::Conv(slots) => slots.get(at),
+            LayerOperands::Linear(..) => None,
+        }
+    }
+}
+
+/// The slot's contents, built by `build` if this is the first run to
+/// reach it. Two first runs racing both build; one result is kept.
+pub(crate) fn cached<T>(
+    slot: &OnceLock<T>,
+    build: impl FnOnce() -> Result<T, EvalError>,
+) -> Result<&T, EvalError> {
+    match slot.get() {
+        Some(built) => Ok(built),
+        None => {
+            let built = build()?;
+            Ok(slot.get_or_init(|| built))
+        }
+    }
 }
 
 /// The operand cache a [`Network`](crate::Network) carries. It is derived

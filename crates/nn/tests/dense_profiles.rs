@@ -1,15 +1,15 @@
 //! The two lowering profiles against each other and against the
 //! plaintext network: same logits, each executed trace equal to its own
-//! lowered trace, the optimized schedule on the paper-faithful key set,
-//! and the optimized executor's operands encoded once per network and
-//! context.
+//! lowered trace record for record, the optimized schedule on the
+//! paper-faithful key set, and the optimized executor's operands encoded
+//! once per network and context.
 //!
 //! The tests share one process-global encode counter and the larger ones
 //! hold hundreds of megabytes of keys, so they take turns.
 
 use fxhenn_ckks::{
-    register_he_metrics, CkksContext, CkksParams, Decryptor, Encryptor, GaloisKeys, HeOpRecord,
-    KeyGenerator, OpTrace, PublicKey, RelinKey, RotationSet, SecretKey,
+    register_he_metrics, CkksContext, CkksParams, Decryptor, Encryptor, GaloisKeys, KeyGenerator,
+    OpTrace, PublicKey, RelinKey, RotationSet, SecretKey,
 };
 use fxhenn_nn::executor::{encrypt_input, EncryptedInput, HeCnnExecutor};
 use fxhenn_nn::{
@@ -101,12 +101,10 @@ fn max_diff(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Both profiles on one input: logits against `Network::forward` and
-/// against each other, each trace against its profile's lowering.
-/// `in_order` says the optimized program has no layer on the shared
-/// per-output schedule, whose fan-out runs in another order than its
-/// plan is recorded in: then the executed trace is the plan, record for
-/// record.
-fn check_profiles(net: &Network, params: CkksParams, floor: f64, tol: f64, in_order: bool) {
+/// against each other, each executed trace equal to its profile's
+/// lowered program, record for record. `all_linear` says every dense
+/// layer of the optimized program is a linear transform.
+fn check_profiles(net: &Network, params: CkksParams, floor: f64, tol: f64, all_linear: bool) {
     let rig = Rig::new(net, params);
     let input = rig.encrypt(net, 7);
     let expected = net.forward(&synthetic_input(net, 7)).into_data();
@@ -119,17 +117,7 @@ fn check_profiles(net: &Network, params: CkksParams, floor: f64, tol: f64, in_or
         let planned = try_lower_network_with(net, rig.ctx.degree(), rig.ctx.max_level(), profile)
             .expect("the network lowers")
             .total_trace();
-        if profile == LoweringProfile::Optimized && in_order {
-            assert_eq!(r.trace, planned, "{}: record for record", net.name());
-        } else {
-            // The same records, batched differently.
-            let sorted = |t: &OpTrace| {
-                let mut v: Vec<HeOpRecord> = t.records().to_vec();
-                v.sort_unstable_by_key(|r| (r.kind, r.level));
-                v
-            };
-            assert_eq!(sorted(&r.trace), sorted(&planned), "{} {profile:?}", net.name());
-        }
+        assert_eq!(r.trace, planned, "{} {profile:?}: record for record", net.name());
         r
     });
 
@@ -144,7 +132,7 @@ fn check_profiles(net: &Network, params: CkksParams, floor: f64, tol: f64, in_or
     // per-output layer behind a blocked input does (log2 m more per
     // output), so only the all-linear programs are held to this.
     assert!(
-        !in_order || optimized.trace.key_switch_count() <= faithful.trace.key_switch_count(),
+        !all_linear || optimized.trace.key_switch_count() <= faithful.trace.key_switch_count(),
         "{}: the linear schedule switches keys more often",
         net.name()
     );

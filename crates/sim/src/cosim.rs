@@ -4,7 +4,7 @@
 //! simulated latency number.
 
 use crate::error::SimError;
-use fxhenn_ckks::{CkksContext, CkksParams, Decryptor, Encryptor, KeyGenerator};
+use fxhenn_ckks::{CkksContext, CkksParams, Decryptor, Encryptor, KeyGenerator, OpTrace};
 use fxhenn_nn::executor::{try_encrypt_input, HeCnnExecutor};
 use fxhenn_nn::{try_lower_network, LoweringProfile, Network, Tensor};
 use rand::rngs::StdRng;
@@ -21,19 +21,20 @@ pub struct CosimReport {
     pub max_error: f64,
     /// True when plaintext and HE argmax agree (same classification).
     pub argmax_agrees: bool,
-    /// Measured HOP count of the homomorphic run.
-    pub measured_hops: usize,
-    /// HOP count predicted by the analytic lowering.
-    pub planned_hops: usize,
+    /// The HE operations the homomorphic run executed.
+    pub measured: OpTrace,
+    /// The analytic lowering's program, as one trace.
+    pub planned: OpTrace,
     /// Wall time of the homomorphic execution (keygen and encryption
     /// excluded), in nanoseconds.
     pub he_wall_nanos: u64,
 }
 
 impl CosimReport {
-    /// True when the measured trace matched the plan exactly.
+    /// True when the run executed the lowered program record for
+    /// record: same operations, same levels, same order.
     pub fn trace_matches(&self) -> bool {
-        self.measured_hops == self.planned_hops
+        self.measured == self.planned
     }
 }
 
@@ -100,8 +101,8 @@ pub fn try_cosimulate(
         expected,
         actual,
         max_error,
-        measured_hops: measured.hop_count(),
-        planned_hops: prog.hop_count(),
+        measured,
+        planned: prog.total_trace(),
         he_wall_nanos,
     })
 }

@@ -27,8 +27,10 @@ fn main() {
     println!("max slot error:   {:.5}", report.max_error);
     println!("argmax agreement: {}", report.argmax_agrees);
     println!(
-        "trace check:      measured {} HOPs vs planned {} HOPs",
-        report.measured_hops, report.planned_hops
+        "trace check:      measured {} HOPs vs planned {} HOPs, record for record: {}",
+        report.measured.hop_count(),
+        report.planned.hop_count(),
+        report.trace_matches()
     );
     assert!(report.argmax_agrees, "encrypted classification must agree");
 

@@ -189,7 +189,7 @@ fn network_without_conv_front_end_is_rejected_everywhere() {
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(9));
     let image = fxhenn::nn::Tensor::from_data(&[16], vec![0.5; 16]);
     let err = try_encrypt_input(&dense_first, &image, &mut enc, ctx.degree() / 2).unwrap_err();
-    assert_eq!(err, ExecError::FirstLayerNotConv);
+    assert_eq!(err, ExecError::Lower(LowerError::FirstLayerNotConv));
 }
 
 // ---- fault class 6: level underflow ------------------------------------

@@ -73,6 +73,77 @@ fn golden_dse_choices_are_stable() {
     assert!(best.eval.fully_buffered);
 }
 
+/// FNV-1a over `(step, level)` pairs: one exact number for a key set.
+fn key_set_digest(pairs: impl Iterator<Item = (usize, usize)>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in pairs.flat_map(|(step, level)| [step as u64, level as u64]) {
+        h = (h ^ x).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn golden_per_layer_programs_and_simulated_cycles() {
+    // Per layer: (plaintext words, level in, level out, input cts,
+    // output cts), then the simulated cycles of the DSE-chosen design on
+    // ACU9EG and ACU15EG. The simulator runs one station per op class,
+    // so these move whenever the order of records within a class does.
+    type Row = (usize, usize, usize, usize, usize);
+    type Case = (fxhenn::nn::Network, CkksParams, [Row; 5], (usize, u64), [[u64; 5]; 2]);
+    let cases: [Case; 2] = [
+        (
+            fxhenn_mnist(1),
+            CkksParams::fxhenn_mnist(),
+            [
+                (1_490_944, 7, 6, 25, 1),
+                (0, 6, 5, 1, 1),
+                (1_843_200, 5, 4, 1, 25),
+                (0, 4, 3, 25, 25),
+                (6_307_840, 3, 2, 25, 10),
+            ],
+            (13, 0x3778_e0cb_c19d_432b),
+            [
+                [2_257_920, 705_331, 38_140_928, 3_973_939, 9_130_598],
+                [3_823_411, 593_510, 19_317_760, 2_184_806, 9_130_598],
+            ],
+        ),
+        (
+            fxhenn_cifar10(1),
+            CkksParams::fxhenn_cifar10(),
+            [
+                (44_269_568, 7, 6, 384, 2),
+                (0, 6, 5, 2, 2),
+                (825_753_600, 5, 3, 2, 1),
+                (0, 3, 2, 1, 1),
+                (491_520, 2, 1, 1, 10),
+            ],
+            (2812, 0xfbbf_970f_bc4c_d54e),
+            [
+                [433_360_076, 15_654_911, 97_560_167_219, 3_492_249, 20_632_371],
+                [53_289_779, 3_913_727, 24_727_274_700, 1_164_083, 9_974_988],
+            ],
+        ),
+    ];
+    for (net, params, rows, keys, cycles) in cases {
+        let prog = lower_network(&net, params.degree(), params.levels());
+        let got: Vec<Row> = prog
+            .layers
+            .iter()
+            .map(|l| (l.plaintext_words, l.level_in, l.level_out, l.input_cts, l.output_cts))
+            .collect();
+        assert_eq!(got, rows, "{}", net.name());
+        let rotations = prog.required_rotations();
+        assert_eq!((rotations.len(), key_set_digest(rotations.with_levels())), keys, "{}", net.name());
+        for (device, cycles) in [FpgaDevice::acu9eg(), FpgaDevice::acu15eg()].iter().zip(cycles) {
+            let best = explore_default(&prog, device, params.prime_bits()).best.expect("feasible");
+            let sim = fxhenn::sim::try_simulate(&prog, &best.point, device, params.prime_bits())
+                .expect("simulates");
+            let got: Vec<u64> = sim.layers.iter().map(|l| l.cycles).collect();
+            assert_eq!(got, cycles, "{} on {}", net.name(), device.name());
+        }
+    }
+}
+
 #[test]
 fn golden_parameter_presets() {
     let m = CkksParams::fxhenn_mnist();
