@@ -220,7 +220,7 @@ fn measure<S, F>(
     latency_probes: u64,
 ) -> Entry
 where
-    S: InferenceService<Output = u64>,
+    S: InferenceService<Output = u64> + Send,
     F: Fn() -> BatchDriver<S>,
 {
     // Throughput: waves of up-to-capacity submissions, drained per wave.

@@ -492,7 +492,7 @@ pub fn run(cmd: &Command) -> Result<String, CliError> {
 /// every `tight_every`-th with a deliberately tight 1 ms deadline),
 /// drains the queue and appends one line per outcome plus the report.
 #[allow(clippy::too_many_arguments)]
-fn run_serve_stream<S: InferenceService>(
+fn run_serve_stream<S: InferenceService + Send>(
     driver: &mut BatchDriver<S>,
     requests: u64,
     deadline_ms: u64,
@@ -501,7 +501,9 @@ fn run_serve_stream<S: InferenceService>(
     model: &str,
     out: &mut String,
     render: impl Fn(&S::Output) -> String,
-) {
+) where
+    S::Output: Send,
+{
     for id in 0..requests {
         let tight = tight_every != 0 && (id + 1) % tight_every == 0;
         let deadline = if tight {

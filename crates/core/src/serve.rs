@@ -38,15 +38,21 @@
 //!   factory — which typically re-verifies key material against a
 //!   shared [`ModelCache`] — and re-enters rotation only when the
 //!   rebuild succeeds.
+//! * **Requests in parallel** — [`BatchDriver::run_queue`] drains the
+//!   queue in waves of up to one request per healthy worker, run at the
+//!   same time through [`par::fan_out`] (the calling thread serves one
+//!   of them). Accounting stays on the calling thread, in dequeue
+//!   order, after each wave returns.
 //! * **Graceful degradation and drain** — consecutive deadline slips
-//!   switch the driver to [`Parallelism::Serial`], trading throughput
-//!   for the predictable latency of the unthreaded path; and
-//!   [`BatchDriver::drain`] closes admission ([`ServeError::Draining`])
-//!   while already-queued requests run to completion.
+//!   shrink the waves to one request under [`Parallelism::Serial`],
+//!   trading throughput for the predictable latency of one unthreaded
+//!   request at a time; and [`BatchDriver::drain`] closes admission
+//!   ([`ServeError::Draining`]) while already-queued requests run to
+//!   completion.
 //!
-//! The driver is synchronous and single-threaded by design: requests
-//! are admitted with [`BatchDriver::submit`] and drained with
-//! [`BatchDriver::run_queue`]. Hard cancellation from outside
+//! Requests are admitted with [`BatchDriver::submit`] and drained with
+//! [`BatchDriver::run_queue`]; both are called from one thread, which
+//! owns every piece of driver state. Hard cancellation from outside
 //! (operator abort) rides the driver's [`CancelToken`], which is
 //! attached to every dispatched budget; [`ChaosService`] provides the
 //! deterministic fault injector behind `fxhenn serve --chaos` and the
@@ -147,7 +153,7 @@ pub struct ServeConfig {
     /// is admitted (half-open).
     pub breaker_cooldown: Duration,
     /// Consecutive deadline slips before the driver degrades to
-    /// [`Parallelism::Serial`].
+    /// one-wide waves under [`Parallelism::Serial`].
     pub slip_threshold: u32,
     /// Seed for the EWMA service-time estimate (used in retry-after
     /// hints before any request has completed, when the analytic model
@@ -502,11 +508,13 @@ impl fmt::Debug for AttemptError {
 
 /// An inference backend the [`BatchDriver`] dispatches to.
 ///
-/// The driver installs `budget` as the calling thread's ambient budget
-/// before invoking [`infer`](Self::infer), so a backend built on the
-/// FxHENN pipeline is deadline-aware with no extra plumbing; the
-/// parameter is also passed explicitly for backends that schedule work
-/// themselves.
+/// The driver installs `budget` as the ambient budget of the thread
+/// that runs the attempt before invoking [`infer`](Self::infer), so a
+/// backend built on the FxHENN pipeline is deadline-aware with no extra
+/// plumbing; the parameter is also passed explicitly for backends that
+/// schedule work themselves. Attempts of a wave run on threads of their
+/// own, so [`BatchDriver::run_queue`] asks for `Send` services and
+/// outputs.
 pub trait InferenceService {
     /// What a completed inference produces.
     type Output;
@@ -687,6 +695,14 @@ impl CircuitBreaker {
         was_open
     }
 
+    /// Frees the half-open probe slot without a verdict. A probe that
+    /// its deadline or a shutdown stopped says nothing about the model,
+    /// so the next admission may probe again; without this the breaker
+    /// would stay half-open, rejecting every request, for good.
+    pub fn release_probe(&mut self) {
+        self.probe_outstanding = false;
+    }
+
     /// Records a failed attempt at time `now`. A closed breaker trips
     /// at `threshold` consecutive failures; a half-open probe failure
     /// re-opens immediately. Returns `true` when the breaker tripped.
@@ -852,6 +868,62 @@ impl<S> Worker<S> {
     }
 }
 
+/// A dequeued request on its way through the driver's waves: its place
+/// in the dequeue order, when service began, the attempts made so far
+/// and the backoff its next attempt waits out first.
+struct InFlight {
+    slot: usize,
+    req: InferenceRequest,
+    accepted: Instant,
+    attempt: u32,
+    backoff: Duration,
+}
+
+impl InFlight {
+    /// One attempt on `service`, on whichever thread the wave gave it:
+    /// wait out the backoff, then run under a budget of the remaining
+    /// deadline plus the shutdown token, installed ambiently, with the
+    /// wave's parallelism pin (`None` keeps the thread's own policy).
+    /// Returns the attempt's result and its service time.
+    fn attempt_on<S: InferenceService>(
+        &self,
+        service: &mut S,
+        shutdown: &CancelToken,
+        pin: Option<Parallelism>,
+    ) -> (Result<S::Output, AttemptError>, Duration) {
+        if !self.backoff.is_zero() {
+            std::thread::sleep(self.backoff);
+        }
+        let dispatched = Instant::now();
+        let remaining = self.req.deadline.saturating_sub(self.accepted.elapsed());
+        if remaining.is_zero() {
+            // Backoff (or earlier attempts) consumed the whole deadline
+            // before this attempt could start.
+            let stop = BudgetStop {
+                phase: "serve-dispatch",
+                cause: StopCause::DeadlineExpired {
+                    deadline: self.req.deadline,
+                },
+                elapsed: self.accepted.elapsed(),
+                progress: Progress::done(u64::from(self.attempt)),
+            };
+            return (Err(AttemptError::Cancelled(stop)), Duration::ZERO);
+        }
+        let b = Budget::with_deadline(remaining)
+            .with_cancel(shutdown.clone())
+            .start();
+        let mut run = || budget::with_budget(&b, || service.infer(&self.req, &b));
+        let result = match pin {
+            Some(mode) => par::with_parallelism(mode, run),
+            None => run(),
+        };
+        (result, dispatched.elapsed())
+    }
+}
+
+/// A dequeued request's id and, once it is settled, its outcome.
+type Slot<O> = (u64, Option<Result<O, ServeError>>);
+
 /// Builds a fresh worker service — the supervisor calls this to rebuild
 /// a quarantined worker. Returning `Err` keeps the worker quarantined
 /// (the next selection pass retries).
@@ -871,7 +943,6 @@ pub struct BatchDriver<S: InferenceService> {
     /// Completed requests feeding the EWMA (0 = still on the hint).
     ewma_samples: u64,
     consecutive_slips: u32,
-    mode: Parallelism,
     shutdown: CancelToken,
     report: ServeReport,
 }
@@ -926,7 +997,6 @@ impl<S: InferenceService> BatchDriver<S> {
             ewma_nanos,
             ewma_samples: 0,
             consecutive_slips: 0,
-            mode: Parallelism::Auto,
             shutdown: CancelToken::new(),
             report: ServeReport::default(),
         };
@@ -959,10 +1029,16 @@ impl<S: InferenceService> BatchDriver<S> {
         self.workers.iter().filter(|w| w.quarantined).count()
     }
 
-    /// The parallelism mode requests currently dispatch under
-    /// ([`Parallelism::Serial`] once the driver has degraded).
+    /// The parallelism policy a one-wide wave dispatches under: the
+    /// calling thread's own until the driver degrades,
+    /// [`Parallelism::Serial`] after. Attempts of a wider wave always
+    /// run `Serial`.
     pub fn mode(&self) -> Parallelism {
-        self.mode
+        if self.report.degraded {
+            Parallelism::Serial
+        } else {
+            par::parallelism()
+        }
     }
 
     /// A handle that cancels every in-flight and future request when
@@ -1095,108 +1171,144 @@ impl<S: InferenceService> BatchDriver<S> {
         }
     }
 
-    /// Drains the queue, serving requests in weighted-fair order.
-    /// Returns `(id, outcome)` per request.
-    pub fn run_queue(&mut self) -> Vec<(u64, Result<S::Output, ServeError>)> {
-        let mut outcomes = Vec::with_capacity(self.queue.len());
-        while let Some((_tenant, req)) = self.queue.pop() {
-            serve_metrics()
-                .queue_depth
-                .set(self.queue.len().min(i64::MAX as usize) as i64);
-            let outcome = self.serve_one(&req);
-            outcomes.push((req.id, outcome));
+    /// Drains the queue in waves, one request per healthy worker at a
+    /// time, and returns `(id, outcome)` per request in dequeue order.
+    ///
+    /// Each wave takes up to [`healthy_workers`](Self::healthy_workers)
+    /// requests — retries from the previous wave first, then fresh ones
+    /// in weighted-fair order — and hands the i-th to the i-th worker in
+    /// round-robin order. The wave's attempts run at the same time
+    /// through [`par::fan_out`]: the calling thread serves the first
+    /// itself, so a one-wide wave spawns nothing and inherits the
+    /// caller's parallelism policy, while every attempt of a wider wave
+    /// runs [`Parallelism::Serial`]. Once the wave is back, its outcomes
+    /// are accounted here, in dequeue order — breakers, the EWMA, slips,
+    /// penalties, quarantine and rebuild — so no worker is rebuilt while
+    /// it runs. A degraded driver serves one-wide waves under `Serial`.
+    pub fn run_queue(&mut self) -> Vec<(u64, Result<S::Output, ServeError>)>
+    where
+        S: Send,
+        S::Output: Send,
+    {
+        let mut outcomes: Vec<Slot<S::Output>> = Vec::with_capacity(self.queue.len());
+        let mut retries: VecDeque<InFlight> = VecDeque::new();
+        loop {
+            let width = if self.report.degraded {
+                1
+            } else {
+                self.healthy_workers().max(1)
+            };
+            let mut wave = Vec::with_capacity(width);
+            while wave.len() < width {
+                let Some(flight) = retries.pop_front().or_else(|| self.dequeue(&mut outcomes))
+                else {
+                    break;
+                };
+                match self.select_worker() {
+                    Some(widx) => wave.push((widx, flight)),
+                    None => outcomes[flight.slot].1 = Some(Err(self.account_no_worker(&flight))),
+                }
+            }
+            if wave.is_empty() {
+                break;
+            }
+            let pin = (wave.len() > 1 || self.report.degraded).then_some(Parallelism::Serial);
+            let shutdown = &self.shutdown;
+            let mut services: Vec<Option<&mut S>> = self
+                .workers
+                .iter_mut()
+                .map(|w| Some(&mut w.service))
+                .collect();
+            let jobs: Vec<(&mut S, &InFlight)> = wave
+                .iter()
+                .map(|(widx, flight)| {
+                    let service = services[*widx]
+                        .take()
+                        .expect("a wave assigns each worker at most once");
+                    (service, flight)
+                })
+                .collect();
+            let attempts = par::fan_out(jobs, true, &|_, (service, flight)| {
+                flight.attempt_on(service, shutdown, pin)
+            });
+            for ((widx, mut flight), (result, service_time)) in wave.into_iter().zip(attempts) {
+                if let Some(outcome) = self.settle(widx, &mut flight, result, service_time) {
+                    outcomes[flight.slot].1 = Some(outcome);
+                } else {
+                    retries.push_back(flight);
+                }
+            }
         }
         outcomes
+            .into_iter()
+            .map(|(id, outcome)| (id, outcome.expect("every dequeued request is settled")))
+            .collect()
     }
 
-    /// Serves one request: pick a healthy worker, dispatch under the
-    /// deadline, retry transient failures with capped backoff, account
-    /// the outcome against the tenant's breaker and the worker's
-    /// health.
-    fn serve_one(&mut self, req: &InferenceRequest) -> Result<S::Output, ServeError> {
-        let accepted = Instant::now();
-        let mut attempt: u32 = 0;
-        loop {
-            let remaining = req.deadline.saturating_sub(accepted.elapsed());
-            if remaining.is_zero() {
-                // Backoff (or earlier attempts) consumed the whole
-                // deadline before this attempt could start.
-                return Err(self.account_slip(BudgetStop {
-                    phase: "serve-dispatch",
-                    cause: StopCause::DeadlineExpired {
-                        deadline: req.deadline,
-                    },
-                    elapsed: accepted.elapsed(),
-                    progress: Progress::done(u64::from(attempt)),
-                }));
-            }
-            let Some(widx) = self.select_worker() else {
-                self.report.failed += 1;
-                serve_metrics().failed.inc();
-                return Err(ServeError::Failed {
-                    attempts: attempt + 1,
-                    message: "no healthy worker available (pool quarantined, rebuilds failing)"
-                        .to_string(),
-                });
-            };
-            let dispatched = Instant::now();
-            let outcome = self.dispatch(widx, req, remaining);
-            match outcome {
-                Ok(out) => {
-                    self.worker_success(widx);
-                    self.account_success(req, dispatched.elapsed());
-                    return Ok(out);
-                }
-                Err(AttemptError::Cancelled(stop)) => {
-                    // The deadline (or a shutdown) stopped the attempt;
-                    // the worker is blameless.
-                    return Err(self.account_slip(stop));
-                }
-                Err(AttemptError::Transient(message)) => {
-                    self.penalize_worker(widx, 1);
-                    attempt += 1;
-                    let backoff = self.backoff_delay(req.id, attempt);
-                    let left = req.deadline.saturating_sub(accepted.elapsed());
-                    if attempt > self.cfg.max_retries || backoff >= left {
-                        self.account_failure(&req.tenant, &req.model);
-                        return Err(ServeError::Failed {
-                            attempts: attempt,
-                            message,
-                        });
-                    }
-                    self.report.retries += 1;
-                    serve_metrics().retries.inc();
-                    std::thread::sleep(backoff);
-                }
-                Err(AttemptError::Permanent(message)) => {
-                    self.penalize_worker(widx, 2);
-                    self.account_failure(&req.tenant, &req.model);
-                    return Err(ServeError::Failed {
-                        attempts: attempt + 1,
-                        message,
-                    });
-                }
-            }
-        }
+    /// Pops the next request in weighted-fair order and reserves its
+    /// place in the outcome list.
+    fn dequeue(&mut self, outcomes: &mut Vec<Slot<S::Output>>) -> Option<InFlight> {
+        let (_tenant, req) = self.queue.pop()?;
+        serve_metrics()
+            .queue_depth
+            .set(self.queue.len().min(i64::MAX as usize) as i64);
+        outcomes.push((req.id, None));
+        Some(InFlight {
+            slot: outcomes.len() - 1,
+            req,
+            accepted: Instant::now(),
+            attempt: 0,
+            backoff: Duration::ZERO,
+        })
     }
 
-    /// One attempt on worker `widx`: budget = remaining deadline + the
-    /// shutdown token, installed ambiently, under the driver's
-    /// parallelism mode.
-    fn dispatch(
+    /// Accounts one attempt of `flight` on worker `widx` against the
+    /// tenant's breaker and the worker's health. Returns the request's
+    /// outcome, or `None` when a transient failure earned it a retry in
+    /// the next wave (after a capped, jittered backoff).
+    fn settle(
         &mut self,
         widx: usize,
-        req: &InferenceRequest,
-        remaining: Duration,
-    ) -> Result<S::Output, AttemptError> {
-        let b = Budget::with_deadline(remaining)
-            .with_cancel(self.shutdown.clone())
-            .start();
-        let mode = self.mode;
-        let service = &mut self.workers[widx].service;
-        par::with_parallelism(mode, || {
-            budget::with_budget(&b, || service.infer(req, &b))
-        })
+        flight: &mut InFlight,
+        result: Result<S::Output, AttemptError>,
+        service_time: Duration,
+    ) -> Option<Result<S::Output, ServeError>> {
+        let req = &flight.req;
+        match result {
+            Ok(out) => {
+                self.worker_success(widx);
+                self.account_success(req, service_time);
+                Some(Ok(out))
+            }
+            // The deadline (or a shutdown) stopped the attempt; the
+            // worker is blameless.
+            Err(AttemptError::Cancelled(stop)) => Some(Err(self.account_slip(req, stop))),
+            Err(AttemptError::Transient(message)) => {
+                self.penalize_worker(widx, 1);
+                flight.attempt += 1;
+                let backoff = self.backoff_delay(req.id, flight.attempt);
+                let left = req.deadline.saturating_sub(flight.accepted.elapsed());
+                if flight.attempt > self.cfg.max_retries || backoff >= left {
+                    self.account_failure(&req.tenant, &req.model);
+                    return Some(Err(ServeError::Failed {
+                        attempts: flight.attempt,
+                        message,
+                    }));
+                }
+                self.report.retries += 1;
+                serve_metrics().retries.inc();
+                flight.backoff = backoff;
+                None
+            }
+            Err(AttemptError::Permanent(message)) => {
+                self.penalize_worker(widx, 2);
+                self.account_failure(&req.tenant, &req.model);
+                Some(Err(ServeError::Failed {
+                    attempts: flight.attempt + 1,
+                    message,
+                }))
+            }
+        }
     }
 
     /// Round-robin over healthy workers; when every worker is
@@ -1321,31 +1433,48 @@ impl<S: InferenceService> BatchDriver<S> {
         // does not.
         self.ewma_nanos = 0.7 * self.ewma_nanos + 0.3 * service_time.as_nanos() as f64;
         self.ewma_samples += 1;
-        if let Some(breaker) = self
-            .breakers
-            .get_mut(&req.tenant)
-            .and_then(|models| models.get_mut(&req.model))
-        {
+        if let Some(breaker) = self.breaker_of(req) {
             if breaker.record_success() {
                 serve_metrics().breaker_to_closed.inc();
             }
         }
     }
 
-    /// A deadline slip: count it, and degrade to serial dispatch once
+    /// The `(tenant, model)` breaker of `req`, if one was ever created.
+    fn breaker_of(&mut self, req: &InferenceRequest) -> Option<&mut CircuitBreaker> {
+        self.breakers.get_mut(&req.tenant)?.get_mut(&req.model)
+    }
+
+    /// A deadline slip: count it, free the pair's half-open probe slot,
+    /// and degrade to one-wide waves under [`Parallelism::Serial`] once
     /// `slip_threshold` slips arrive in a row.
-    fn account_slip(&mut self, stop: BudgetStop) -> ServeError {
+    fn account_slip(&mut self, req: &InferenceRequest, stop: BudgetStop) -> ServeError {
+        if let Some(breaker) = self.breaker_of(req) {
+            breaker.release_probe();
+        }
         self.report.cancelled += 1;
         self.consecutive_slips += 1;
         serve_metrics().deadline_slips.inc();
-        if self.consecutive_slips >= self.cfg.slip_threshold
-            && !matches!(self.mode, Parallelism::Serial)
-        {
-            self.mode = Parallelism::Serial;
+        if self.consecutive_slips >= self.cfg.slip_threshold && !self.report.degraded {
             self.report.degraded = true;
             serve_metrics().degraded.set(1);
         }
         ServeError::Cancelled(stop)
+    }
+
+    /// A request no worker could take: the pool is quarantined and no
+    /// rebuild succeeds. The model was never tried, so the pair's
+    /// half-open probe slot is freed.
+    fn account_no_worker(&mut self, flight: &InFlight) -> ServeError {
+        if let Some(breaker) = self.breaker_of(&flight.req) {
+            breaker.release_probe();
+        }
+        self.report.failed += 1;
+        serve_metrics().failed.inc();
+        ServeError::Failed {
+            attempts: flight.attempt + 1,
+            message: "no healthy worker available (pool quarantined, rebuilds failing)".to_string(),
+        }
     }
 
     fn account_failure(&mut self, tenant: &TenantId, model: &str) {
@@ -2267,6 +2396,30 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_probe_frees_the_half_open_slot() {
+        let svc = Scripted::new(vec![
+            Err(AttemptError::Permanent("bad".into())),
+            Err(AttemptError::Permanent("bad".into())),
+        ]);
+        let mut d = BatchDriver::new(svc, cfg());
+        let sec = Duration::from_secs(1);
+        for id in 0..2 {
+            d.submit(req(id, "m", sec)).unwrap();
+            let _ = d.run_queue();
+        }
+        assert_eq!(d.report().breaker_trips, 1);
+        std::thread::sleep(cfg().breaker_cooldown + Duration::from_millis(5));
+        // The half-open probe slips on a zero deadline: no verdict on
+        // the model, so the next request probes instead of being
+        // rejected for good.
+        d.submit(req(2, "m", Duration::ZERO)).unwrap();
+        assert!(matches!(d.run_queue()[0].1, Err(ServeError::Cancelled(_))));
+        d.submit(req(3, "m", sec)).unwrap();
+        assert!(d.run_queue()[0].1.is_ok());
+        assert!(d.submit(req(4, "m", sec)).is_ok(), "the probe closed it");
+    }
+
+    #[test]
     fn breakers_do_not_bleed_across_tenants() {
         // Same model, two tenants: tenant a's failures trip only a's
         // breaker.
@@ -2313,6 +2466,71 @@ mod tests {
         d.submit(req(9, "m", Duration::from_secs(1))).unwrap();
         assert!(d.run_queue()[0].1.is_ok());
         assert_eq!(d.report().completed, 1);
+    }
+
+    /// Records the parallelism policy and thread of every attempt.
+    #[derive(Clone, Default)]
+    struct PolicyProbe {
+        seen: std::sync::Arc<Mutex<Vec<(Parallelism, std::thread::ThreadId)>>>,
+    }
+
+    impl PolicyProbe {
+        fn take(&self) -> Vec<(Parallelism, std::thread::ThreadId)> {
+            std::mem::take(&mut *self.seen.lock().expect("probe lock"))
+        }
+    }
+
+    impl InferenceService for PolicyProbe {
+        type Output = u64;
+        fn infer(&mut self, req: &InferenceRequest, _: &Budget) -> Result<u64, AttemptError> {
+            let here = (par::parallelism(), std::thread::current().id());
+            self.seen.lock().expect("probe lock").push(here);
+            Ok(req.id)
+        }
+    }
+
+    #[test]
+    fn one_wide_waves_inherit_the_callers_policy_and_wider_waves_run_serial() {
+        let caller = std::thread::current().id();
+        let sec = Duration::from_secs(1);
+        let probe = PolicyProbe::default();
+        // One worker: every wave is one wide and keeps the caller's pin.
+        for pinned in [Parallelism::Serial, Parallelism::Threads(3)] {
+            let mut d = BatchDriver::new(probe.clone(), cfg());
+            d.submit(req(0, "m", sec)).unwrap();
+            d.submit(req(1, "m", sec)).unwrap();
+            par::with_parallelism(pinned, || d.run_queue());
+            assert_eq!(probe.take(), [(pinned, caller); 2]);
+        }
+        // Two workers: a two-wide wave runs Serial whatever the caller
+        // pinned, and the caller serves one of its requests.
+        let mut two = cfg();
+        two.worker_count = 2;
+        let factory: ServiceFactory<PolicyProbe> = {
+            let probe = probe.clone();
+            Box::new(move || Ok(probe.clone()))
+        };
+        let mut d = BatchDriver::with_factory(two, factory).expect("pool builds");
+        d.submit(req(0, "m", sec)).unwrap();
+        d.submit(req(1, "m", sec)).unwrap();
+        par::with_parallelism(Parallelism::Threads(3), || d.run_queue());
+        let seen = probe.take();
+        assert!(
+            seen.iter().all(|(mode, _)| *mode == Parallelism::Serial),
+            "{seen:?}"
+        );
+        assert!(seen.iter().any(|(_, t)| *t == caller));
+        // Two slips degrade the driver: from then on waves are one wide,
+        // served on the caller under Serial.
+        d.submit(req(2, "m", Duration::ZERO)).unwrap();
+        d.submit(req(3, "m", Duration::ZERO)).unwrap();
+        let _ = d.run_queue();
+        assert!(d.report().degraded);
+        assert_eq!(d.mode(), Parallelism::Serial);
+        d.submit(req(4, "m", sec)).unwrap();
+        d.submit(req(5, "m", sec)).unwrap();
+        par::with_parallelism(Parallelism::Threads(3), || d.run_queue());
+        assert_eq!(probe.take(), [(Parallelism::Serial, caller); 2]);
     }
 
     #[test]

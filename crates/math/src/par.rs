@@ -14,7 +14,9 @@
 //!   microseconds). This module is the single scheduling point:
 //!   [`for_each_indexed`] splits a mutable slice into at most
 //!   [`effective_threads`] contiguous chunks and [`map_indexed`] does
-//!   the same for indexed map-style work.
+//!   the same for indexed map-style work. Both spawn through
+//!   [`fan_out`], which is also how the serving driver runs one request
+//!   per worker at once (`fxhenn::serve`).
 //!
 //! # The adaptive dispatcher
 //!
@@ -494,11 +496,82 @@ impl Ambient {
     }
 }
 
+/// Runs `f(i, item)` for every item side by side and returns the
+/// results in item order. The kernel fan-outs below and the serving
+/// driver's waves both spawn their threads through here.
+///
+/// Every spawned item gets a scoped thread of its own that first
+/// installs the caller's ambient context (budget, budget clock,
+/// scheduling-mode pin and threshold override). With
+/// `first_on_caller` the calling thread runs item 0 itself once the
+/// others are spawned, so `n` items cost `n - 1` threads; otherwise
+/// the caller only waits. A panic in any item propagates to the
+/// caller. Without the `parallel` feature every item runs inline, in
+/// order. `f` is taken as a trait object so that the spawning code is
+/// compiled once per item type, not once per calling closure.
+pub fn fan_out<T: Send, R: Send>(
+    items: Vec<T>,
+    first_on_caller: bool,
+    f: &(dyn Fn(usize, T) -> R + Sync),
+) -> Vec<R> {
+    #[cfg(feature = "parallel")]
+    {
+        let ambient = &Ambient::capture();
+        std::thread::scope(|s| {
+            let mut items = items.into_iter().enumerate();
+            let first = if first_on_caller { items.next() } else { None };
+            let spawned: Vec<_> = items
+                .map(|(i, item)| s.spawn(move || ambient.install(|| f(i, item))))
+                .collect();
+            let mut out = Vec::with_capacity(spawned.len() + 1);
+            out.extend(first.map(|(i, item)| f(i, item)));
+            for handle in spawned {
+                match handle.join() {
+                    Ok(r) => out.push(r),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            out
+        })
+    }
+    #[cfg(not(feature = "parallel"))]
+    {
+        let _ = first_on_caller;
+        items
+            .into_iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect()
+    }
+}
+
+/// Runs one dispatch of `items * grain_elems` element-operations and,
+/// above the observation floor, books its time into the crossover
+/// feedback (a plain call without the `parallel` feature).
+fn timed<R>(items: usize, grain_elems: usize, threads: usize, run: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "parallel")]
+    {
+        let work = (items as u64).saturating_mul(grain_elems as u64);
+        let started = (work >= feedback::OBSERVE_MIN_ELEMS).then(std::time::Instant::now);
+        let out = run();
+        if let Some(t0) = started {
+            feedback::record(threads > 1, work, t0.elapsed().as_nanos() as u64);
+        }
+        out
+    }
+    #[cfg(not(feature = "parallel"))]
+    {
+        let _ = (items, grain_elems, threads);
+        run()
+    }
+}
+
 /// Applies `f(index, &mut item)` to every element. `grain_elems` is the
 /// approximate element-operation cost of one item (see [`grain_linear`],
 /// [`grain_ntt`], [`GRAIN_COARSE`]); the adaptive dispatcher splits the
-/// slice into at most [`effective_threads`] contiguous chunks when the
-/// total work clears the crossover threshold, and runs inline otherwise.
+/// slice into at most [`effective_threads`] contiguous chunks, each on a
+/// [`fan_out`] thread, when the total work clears the crossover
+/// threshold, and runs inline otherwise.
 ///
 /// `f` must be a pure function of its index and element for the result
 /// to be schedule-independent; every caller in this workspace satisfies
@@ -509,43 +582,25 @@ where
     F: Fn(usize, &mut T) + Sync,
 {
     injected_limb_delay();
-    #[cfg(feature = "parallel")]
-    {
-        let threads = planned_threads(items.len(), grain_elems);
-        let work = (items.len() as u64).saturating_mul(grain_elems as u64);
-        let started = (work >= feedback::OBSERVE_MIN_ELEMS).then(std::time::Instant::now);
+    let threads = planned_threads(items.len(), grain_elems);
+    timed(items.len(), grain_elems, threads, || {
         if threads > 1 {
-            let ambient = Ambient::capture();
             let chunk = items.len().div_ceil(threads);
-            rayon::scope(|s| {
-                for (ci, slab) in items.chunks_mut(chunk).enumerate() {
-                    let f = &f;
-                    let ambient = &ambient;
-                    s.spawn(move |_| {
-                        ambient.install(|| {
-                            for (off, item) in slab.iter_mut().enumerate() {
-                                f(ci * chunk + off, item);
-                            }
-                        });
-                    });
-                }
-            });
+            fan_out(
+                items.chunks_mut(chunk).collect(),
+                false,
+                &|ci, slab: &mut [T]| {
+                    for (off, item) in slab.iter_mut().enumerate() {
+                        f(ci * chunk + off, item);
+                    }
+                },
+            );
         } else {
             for (i, item) in items.iter_mut().enumerate() {
                 f(i, item);
             }
         }
-        if let Some(t0) = started {
-            feedback::record(threads > 1, work, t0.elapsed().as_nanos() as u64);
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = grain_elems;
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-    }
+    })
 }
 
 /// Computes `[f(0), f(1), .., f(count - 1)]` under the same adaptive
@@ -556,44 +611,21 @@ where
     F: Fn(usize) -> T + Sync,
 {
     injected_limb_delay();
-    #[cfg(feature = "parallel")]
-    {
-        let threads = planned_threads(count, grain_elems);
-        let work = (count as u64).saturating_mul(grain_elems as u64);
-        let started = (work >= feedback::OBSERVE_MIN_ELEMS).then(std::time::Instant::now);
-        let out = if threads > 1 {
-            let ambient = Ambient::capture();
-            let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    let threads = planned_threads(count, grain_elems);
+    timed(count, grain_elems, threads, || {
+        if threads > 1 {
             let chunk = count.div_ceil(threads);
-            rayon::scope(|s| {
-                for (ci, slab) in out.chunks_mut(chunk).enumerate() {
-                    let f = &f;
-                    let ambient = &ambient;
-                    s.spawn(move |_| {
-                        ambient.install(|| {
-                            for (off, slot) in slab.iter_mut().enumerate() {
-                                *slot = Some(f(ci * chunk + off));
-                            }
-                        });
-                    });
-                }
-            });
-            out.into_iter()
-                .map(|slot| slot.expect("every chunk fills its slots"))
-                .collect()
+            let starts = (0..count).step_by(chunk).collect();
+            fan_out(starts, false, &|_, lo: usize| {
+                (lo..(lo + chunk).min(count)).map(&f).collect::<Vec<T>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
         } else {
             (0..count).map(&f).collect()
-        };
-        if let Some(t0) = started {
-            feedback::record(threads > 1, work, t0.elapsed().as_nanos() as u64);
         }
-        out
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = grain_elems;
-        (0..count).map(f).collect()
-    }
+    })
 }
 
 #[cfg(test)]
@@ -763,6 +795,43 @@ mod tests {
                     );
                 });
             });
+        });
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_and_runs_the_first_item_on_the_caller() {
+        let caller = std::thread::current().id();
+        let run = |first_on_caller| {
+            fan_out(vec![10u64, 20, 30], first_on_caller, &|i, x| {
+                (i as u64 + x, std::thread::current().id())
+            })
+        };
+        let shared = run(true);
+        let values: Vec<u64> = shared.iter().map(|(v, _)| *v).collect();
+        assert_eq!(values, [10, 21, 32]);
+        assert_eq!(shared[0].1, caller);
+        #[cfg(feature = "parallel")]
+        {
+            assert!(shared[1..].iter().all(|(_, t)| *t != caller));
+            assert!(run(false).iter().all(|(_, t)| *t != caller));
+        }
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn fan_out_forwards_the_budget_clock_and_pins() {
+        let hour = Duration::from_secs(3600);
+        with_limb_delay(hour, || {
+            injected_limb_delay();
+            let seen = with_parallelism(Parallelism::Threads(4), || {
+                fan_out(vec![(); 2], true, &|_, ()| {
+                    (budget::charged(), parallelism())
+                })
+            });
+            assert!(
+                seen.iter().all(|&s| s == (hour, Parallelism::Threads(4))),
+                "{seen:?}"
+            );
         });
     }
 
