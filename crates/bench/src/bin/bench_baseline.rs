@@ -473,8 +473,8 @@ fn parse_baseline(path: &str) -> Result<Vec<(String, f64)>, String> {
 /// The no-worse-than-serial guard: every entry of this run must be at
 /// most `tolerance ×` the matching entry of the serial baseline. This
 /// is the CI tripwire for the threaded-slower-than-serial regression:
-/// with the adaptive dispatcher, a threaded schedule that cannot win
-/// must cost no more than inlining.
+/// under the fixed spawn floor, work too small to win runs inline, so
+/// a threaded schedule must cost no more than inlining.
 fn check_no_worse_than_serial(
     serial_path: &str,
     entries: &[Entry],
@@ -529,9 +529,9 @@ fn strict_entry(name: &str) -> bool {
 
 /// Regenerates both committed baselines in one process. Serial and
 /// threaded blocks alternate so both schedules see the same machine
-/// state; per-entry minima accumulate per schedule. Because the
-/// adaptive dispatcher inlines whenever spawning cannot win, both
-/// schedules converge to the same floor — the threaded side simply
+/// state; per-entry minima accumulate per schedule. Because work below
+/// the fixed spawn floor runs inline, both schedules converge to the
+/// same floor — the threaded side simply
 /// keeps sampling until every entry reaches it (no worse anywhere,
 /// strictly better on the chain and toy-inference entries).
 fn run_paired(tiny: bool, threads: usize, blocks: usize, serial_out: &str, threads_out: &str) {

@@ -657,9 +657,9 @@ impl<'a> Evaluator<'a> {
         let moduli = self.ctx.moduli_at(a.level());
 
         // Each output polynomial costs one-to-two full pointwise passes
-        // over l limbs; fan the three out when the dispatcher judges
-        // that to clear the spawn crossover (the per-product math is
-        // unchanged, so the result is bit-identical to the scratch
+        // over l limbs; fan the three out when that clears the fixed
+        // spawn floor (`par::SPAWN_FLOOR_ELEMS`; the per-product math
+        // is unchanged, so the result is bit-identical to the scratch
         // path).
         let prod_grain = moduli
             .len()

@@ -143,8 +143,8 @@ fn cancelled_evaluator_is_reusable_serial() {
 
 #[test]
 fn cancelled_evaluator_is_reusable_threaded() {
-    // Threshold 0 forces the adaptive dispatcher to genuinely spawn
-    // workers even on single-core hosts.
+    // Threshold 0 forces the dispatcher to genuinely spawn workers for
+    // work below the fixed spawn floor.
     fxhenn_math::par::with_dispatch_threshold(0, || {
         cancel_at_every_boundary(Parallelism::Threads(2));
     });

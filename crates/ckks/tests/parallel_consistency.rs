@@ -66,7 +66,7 @@ fn serial_and_threaded_chains_are_bit_identical() {
         let r = rig(n, levels, 7 + n as u64);
         let serial = with_parallelism(Parallelism::Serial, || run_chain(&r));
         // Threshold 0 forces the dispatcher to actually spawn workers even
-        // on single-core hosts, where calibration would otherwise inline.
+        // for work far below the fixed spawn floor of these small rings.
         let threaded = with_parallelism(Parallelism::Threads(3), || {
             with_dispatch_threshold(0, || run_chain(&r))
         });
@@ -77,11 +77,12 @@ fn serial_and_threaded_chains_are_bit_identical() {
     }
 }
 
-/// The adaptive dispatcher may pick Serial or Threads(k) per call site
-/// based on measured crossover points; whatever it picks must never
-/// change a single bit of any ciphertext. Drives the full chain under
-/// every dispatch policy — forced serial, forced spawn, adaptive, and
-/// Auto — at three (N, L) points and requires exact equality.
+/// The dispatcher picks inline or Threads(k) per call site from the
+/// fixed spawn rule (`items × grain` against the spawn floor); whatever
+/// it picks must never change a single bit of any ciphertext. Drives
+/// the full chain under every dispatch policy — forced serial, forced
+/// spawn, the rule under Threads(3) ("adaptive"), and Auto — at three
+/// (N, L) points and requires exact equality.
 #[test]
 fn dispatch_choice_never_changes_results() {
     for (n, levels) in [(512usize, 3usize), (1024, 4), (2048, 5)] {

@@ -49,8 +49,8 @@ fn global_op_counters_agree_serial_vs_threaded() {
     let before = snapshot();
     with_parallelism(Parallelism::Serial, run_chain);
     let after_serial = snapshot();
-    // Threshold 0 forces the adaptive dispatcher to genuinely spawn
-    // workers even on single-core hosts.
+    // Threshold 0 forces the dispatcher to genuinely spawn workers for
+    // work below the fixed spawn floor.
     fxhenn_math::par::with_dispatch_threshold(0, || {
         with_parallelism(Parallelism::Threads(3), run_chain)
     });

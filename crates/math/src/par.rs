@@ -1,4 +1,4 @@
-//! Adaptive parallel execution helpers.
+//! Parallel execution helpers.
 //!
 //! The paper provisions `nc_NTT` parallel NTT cores and `P_intra`
 //! intra-operation parallelism in DSP slices (Sec. III, Table I); the
@@ -18,29 +18,24 @@
 //!   [`fan_out`], which is also how the serving driver runs one request
 //!   per worker at once (`fxhenn::serve`).
 //!
-//! # The adaptive dispatcher
+//! # The spawn rule
 //!
 //! Every call carries a `grain_elems` hint — the approximate number of
 //! element-operations one item costs (`n` for a pointwise limb pass,
 //! `n log2 n` for an NTT, [`GRAIN_COARSE`] for ciphertext-sized items).
-//! The dispatcher spawns only when `items * grain_elems` clears a
-//! crossover threshold measured on this machine:
+//! A call spawns exactly when
 //!
-//! * **Seed**: a one-shot calibration on first use times an empty
-//!   2-way scope (spawn overhead), an inline mul-add sweep and the same
-//!   sweep split across two workers. On hosts where threading cannot
-//!   win (single core, or no measured speedup) the threshold is
-//!   [`u64::MAX`] and nothing ever spawns.
-//! * **Online refinement**: dispatch decisions above an observation
-//!   floor are timed into `fxhenn-obs` histograms
-//!   (`fxhenn_par_dispatch_{inline,spawn}_ns` plus matching element
-//!   counters). Every 64 spawned samples the per-element rates are
-//!   compared and the threshold nudged (×2 / ÷2) toward the measured
-//!   crossover.
+//! * the mode allows at least 2 threads ([`Parallelism::Auto`]: the
+//!   host's hardware threads, [`Parallelism::Threads`]`(k)`: `k`), and
+//! * `items * grain_elems` is at least [`SPAWN_FLOOR_ELEMS`],
 //!
-//! Tests can pin the threshold per thread with
-//! [`with_dispatch_threshold`] — `0` forces genuine spawning even for
-//! tiny slices, [`u64::MAX`] forces inline execution.
+//! and runs inline on the caller's thread otherwise. Like the paper's
+//! `nc_NTT`, the rule is fixed at build time from a measurement
+//! (DESIGN §8), not re-measured per process, so every process with the
+//! same mode and host width makes the same choices.
+//!
+//! Tests override the floor per thread with [`with_dispatch_threshold`]
+//! (`0` forces genuine spawns on tiny slices, [`u64::MAX`] inlining).
 //!
 //! # Determinism
 //!
@@ -59,20 +54,20 @@
 
 use crate::budget;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// How the helpers schedule their work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
     /// Use up to the machine's available hardware threads (the default),
-    /// subject to the measured crossover threshold. Falls back to inline
-    /// execution on single-core hosts.
+    /// subject to [`SPAWN_FLOOR_ELEMS`]. Runs inline on single-core
+    /// hosts.
     Auto,
     /// Run everything inline on the calling thread.
     Serial,
-    /// Allow up to exactly this many worker threads (>= 2). The grain
-    /// guard still applies: combine with [`with_dispatch_threshold`]`(0)`
+    /// Allow up to exactly this many worker threads (>= 2). The spawn
+    /// floor still applies: combine with [`with_dispatch_threshold`]`(0)`
     /// to force spawning for tiny work, as the serial-vs-parallel
     /// equivalence tests do.
     Threads(usize),
@@ -133,9 +128,9 @@ pub fn with_parallelism<R>(p: Parallelism, f: impl FnOnce() -> R) -> R {
 // ---------------------------------------------------------------------------
 
 /// Grain hint for items that each carry ciphertext-or-larger work
-/// (keyswitch digits, per-output inference chains): always clears any
-/// finite crossover threshold, so such items spawn whenever the mode
-/// allows it.
+/// (keyswitch digits, per-output inference chains): always clears
+/// [`SPAWN_FLOOR_ELEMS`], so such items spawn whenever the mode allows
+/// it.
 pub const GRAIN_COARSE: usize = 1 << 40;
 
 /// Grain hint for one O(n) pass over a length-`n` limb (pointwise
@@ -152,28 +147,21 @@ pub fn grain_ntt(n: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Crossover threshold: one-shot calibration + per-thread override
+// Spawn floor + per-thread override
 // ---------------------------------------------------------------------------
 
-/// Threshold sentinel: never spawn (threading measured as a loss at any
-/// size on this host, e.g. a single hardware core).
-const NEVER_SPAWN: u64 = u64::MAX;
-
-/// Calibrated crossover in element-operations; 0 = not yet calibrated.
-static CROSSOVER_ELEMS: AtomicU64 = AtomicU64::new(0);
-
-/// Floor/ceiling for online refinement so a noisy sample cannot drive
-/// the threshold to a degenerate value.
-#[cfg(feature = "parallel")]
-const CROSSOVER_FLOOR: u64 = 1 << 12;
-#[cfg(feature = "parallel")]
-const CROSSOVER_CEIL: u64 = 1 << 40;
+/// The fewest element-operations (`items * grain_elems`) a call must
+/// carry before it spawns. Set from measurements on 2 vCPUs (DESIGN §8):
+/// a two-way spawn loses to inline on every pointwise pass (65k and
+/// below) and on a 4-limb NTT at N = 4096 (197k), and wins on an 8-limb
+/// NTT at N = 8192 (852k) and on the key-switch limb fan-out.
+pub const SPAWN_FLOOR_ELEMS: u64 = 1 << 19;
 
 thread_local! {
     static LOCAL_THRESHOLD: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with a thread-local dispatch-threshold override (in
+/// Runs `f` with a thread-local override of [`SPAWN_FLOOR_ELEMS`] (in
 /// element-operations), restoring the previous override afterwards.
 /// `0` makes every eligible call spawn; [`u64::MAX`] makes every call
 /// run inline. The override is captured into spawned workers like the
@@ -190,178 +178,25 @@ pub fn with_dispatch_threshold<R>(elems: u64, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The dispatch threshold in effect for the calling thread: the
-/// [`with_dispatch_threshold`] override if one is active, otherwise the
-/// calibrated crossover (computed once per process on first use).
-/// [`u64::MAX`] means "never spawn".
+/// The dispatch threshold [`Parallelism::Auto`] applies on the calling
+/// thread: the [`with_dispatch_threshold`] override if one is active,
+/// otherwise [`SPAWN_FLOOR_ELEMS`], or [`u64::MAX`] ("never spawns")
+/// on a host with fewer than 2 hardware threads.
 pub fn dispatch_threshold() -> u64 {
-    if let Some(t) = LOCAL_THRESHOLD.with(|t| t.get()) {
-        return t;
+    match LOCAL_THRESHOLD.with(|t| t.get()) {
+        Some(t) => t,
+        None if hardware_threads() < 2 => u64::MAX,
+        None => SPAWN_FLOOR_ELEMS,
     }
-    let cur = CROSSOVER_ELEMS.load(Ordering::Relaxed);
-    if cur != 0 {
-        return cur;
-    }
-    let seed = calibrate_crossover();
-    // First writer wins; racing calibrations measured the same machine.
-    let _ = CROSSOVER_ELEMS.compare_exchange(0, seed, Ordering::Relaxed, Ordering::Relaxed);
-    CROSSOVER_ELEMS.load(Ordering::Relaxed)
 }
 
-#[cfg(not(feature = "parallel"))]
-fn calibrate_crossover() -> u64 {
-    NEVER_SPAWN
-}
-
-/// One-shot seed measurement for the crossover threshold: times an
-/// inline mul-add sweep, the same sweep split across a 2-way scope, and
-/// an empty 2-way scope (pure spawn overhead), then solves for the
-/// element count where the threaded path breaks even. A 2x safety
-/// margin is applied so the dispatcher only spawns where threading
-/// clearly wins.
-#[cfg(feature = "parallel")]
-fn calibrate_crossover() -> u64 {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    if rayon::current_num_threads() < 2 {
-        // A single hardware core serialises every "worker" anyway; the
-        // scope setup would be pure loss.
-        return NEVER_SPAWN;
-    }
-
-    const ELEMS: usize = 1 << 15;
-    let sweep = |buf: &mut [u64]| {
-        for (i, x) in buf.iter_mut().enumerate() {
-            *x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64);
-        }
-    };
-    let mut buf = vec![1u64; ELEMS];
-
-    let time_min = |reps: usize, f: &mut dyn FnMut()| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_nanos() as u64);
-        }
-        best.max(1)
-    };
-
-    let inline_ns = time_min(7, &mut || {
-        sweep(black_box(&mut buf));
-    });
-    let spawn_ns = time_min(7, &mut || {
-        let (lo, hi) = buf.split_at_mut(ELEMS / 2);
-        rayon::scope(|s| {
-            s.spawn(|_| sweep(black_box(lo)));
-            s.spawn(|_| sweep(black_box(hi)));
-        });
-    });
-    let overhead_ns = time_min(15, &mut || {
-        rayon::scope(|s| {
-            s.spawn(|_| {
-                black_box(0u64);
-            });
-            s.spawn(|_| {
-                black_box(0u64);
-            });
-        });
-    });
-
-    let compute_ns = spawn_ns.saturating_sub(overhead_ns).max(1);
-    // Speedup of the compute portion once the fixed overhead is paid.
-    let speedup = inline_ns as f64 / compute_ns as f64;
-    if speedup <= 1.05 {
-        return NEVER_SPAWN;
-    }
-    let per_elem_inline_ns = inline_ns as f64 / ELEMS as f64;
-    // Break-even: overhead == elems * per_elem_inline * (1 - 1/speedup).
-    let breakeven = overhead_ns as f64 / (per_elem_inline_ns * (1.0 - 1.0 / speedup));
-    let seeded = (breakeven * 2.0) as u64;
-    seeded.clamp(CROSSOVER_FLOOR, CROSSOVER_CEIL)
-}
-
-// ---------------------------------------------------------------------------
-// Online feedback into fxhenn-obs
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "parallel")]
-mod feedback {
-    use super::{CROSSOVER_CEIL, CROSSOVER_ELEMS, CROSSOVER_FLOOR, NEVER_SPAWN};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, OnceLock};
-
-    /// Dispatch calls below this many element-operations are not timed:
-    /// two `Instant::now` calls would be measurable noise against
-    /// sub-microsecond work, and such calls never spawn anyway.
-    pub const OBSERVE_MIN_ELEMS: u64 = 1 << 14;
-
-    /// Re-examine the threshold every this many spawned samples.
-    const REFINE_EVERY: u64 = 64;
-
-    struct Handles {
-        inline_ns: Arc<fxhenn_obs::Histogram>,
-        spawn_ns: Arc<fxhenn_obs::Histogram>,
-        inline_elems: Arc<fxhenn_obs::Counter>,
-        spawn_elems: Arc<fxhenn_obs::Counter>,
-    }
-
-    fn handles() -> &'static Handles {
-        static HANDLES: OnceLock<Handles> = OnceLock::new();
-        HANDLES.get_or_init(|| {
-            let c = fxhenn_obs::global();
-            Handles {
-                inline_ns: c.histogram("fxhenn_par_dispatch_inline_ns"),
-                spawn_ns: c.histogram("fxhenn_par_dispatch_spawn_ns"),
-                inline_elems: c.counter("fxhenn_par_dispatch_inline_elems_total"),
-                spawn_elems: c.counter("fxhenn_par_dispatch_spawn_elems_total"),
-            }
-        })
-    }
-
-    /// Books one timed dispatch into the obs histograms and, every
-    /// [`REFINE_EVERY`] spawned samples, nudges the calibrated crossover
-    /// toward the measured per-element rates.
-    pub fn record(spawned: bool, elems: u64, ns: u64) {
-        static SPAWN_SAMPLES: AtomicU64 = AtomicU64::new(0);
-        let h = handles();
-        if spawned {
-            h.spawn_ns.observe(ns);
-            h.spawn_elems.add(elems);
-            let n = SPAWN_SAMPLES.fetch_add(1, Ordering::Relaxed) + 1;
-            if n.is_multiple_of(REFINE_EVERY) {
-                refine(h);
-            }
-        } else {
-            h.inline_ns.observe(ns);
-            h.inline_elems.add(elems);
-        }
-    }
-
-    fn refine(h: &Handles) {
-        let inline_elems = h.inline_elems.value();
-        let spawn_elems = h.spawn_elems.value();
-        if inline_elems == 0 || spawn_elems == 0 {
-            return;
-        }
-        let cur = CROSSOVER_ELEMS.load(Ordering::Relaxed);
-        if cur == 0 || cur == NEVER_SPAWN {
-            return;
-        }
-        let inline_per_elem = h.inline_ns.sum() as f64 / inline_elems as f64;
-        let spawn_per_elem = h.spawn_ns.sum() as f64 / spawn_elems as f64;
-        let next = if spawn_per_elem < inline_per_elem * 0.95 {
-            // Spawning is paying off: allow it for smaller work.
-            (cur / 2).max(CROSSOVER_FLOOR)
-        } else if spawn_per_elem > inline_per_elem * 1.05 {
-            // Spawning is losing: demand larger work before trying again.
-            cur.saturating_mul(2).min(CROSSOVER_CEIL)
-        } else {
-            return;
-        };
-        let _ = CROSSOVER_ELEMS.compare_exchange(cur, next, Ordering::Relaxed, Ordering::Relaxed);
-    }
+/// The width [`Parallelism::Auto`] fans out to; 1 without the
+/// `parallel` feature.
+fn hardware_threads() -> usize {
+    #[cfg(feature = "parallel")]
+    return rayon::current_num_threads();
+    #[cfg(not(feature = "parallel"))]
+    1
 }
 
 // ---------------------------------------------------------------------------
@@ -403,59 +238,34 @@ fn injected_limb_delay() {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Number of worker threads the helpers may use right now for the
-/// calling thread based on mode alone; 1 means "run inline". The grain
-/// guard in [`planned_threads`] can still reduce an eligible call to
-/// inline execution.
+/// Number of worker threads the calling thread's mode allows; 1 means
+/// "run inline". [`planned_threads`] also applies the spawn floor.
 pub fn effective_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    if !cfg!(feature = "parallel") {
+        return 1;
     }
-    #[cfg(feature = "parallel")]
-    {
-        match parallelism() {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(k) => k,
-            Parallelism::Auto => rayon::current_num_threads(),
-        }
+    match parallelism() {
+        Parallelism::Serial => 1,
+        Parallelism::Threads(k) => k,
+        Parallelism::Auto => hardware_threads(),
     }
 }
 
 /// The number of chunks the dispatcher would run `items` pieces of work
-/// in, given the per-item `grain_elems` hint; 1 means "inline". Callers
-/// with materially different serial and fan-out code paths (e.g. the
-/// scratch-reusing keyswitch) use this to pick a path up front.
+/// in, given the per-item `grain_elems` hint; 1 means "inline". This is
+/// the spawn rule of the module docs. Callers with materially different
+/// serial and fan-out code paths (e.g. the scratch-reusing keyswitch)
+/// use this to pick a path up front.
 pub fn planned_threads(items: usize, grain_elems: usize) -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = (items, grain_elems);
+    let width = effective_threads().min(items);
+    let floor = LOCAL_THRESHOLD
+        .with(|t| t.get())
+        .unwrap_or(SPAWN_FLOOR_ELEMS);
+    let work = (items as u64).saturating_mul(grain_elems as u64);
+    if width >= 2 && work >= floor {
+        width
+    } else {
         1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        if items < 2 {
-            return 1;
-        }
-        let width = match parallelism() {
-            Parallelism::Serial => return 1,
-            Parallelism::Threads(k) => k,
-            Parallelism::Auto => rayon::current_num_threads(),
-        }
-        .min(items);
-        if width < 2 {
-            return 1;
-        }
-        let threshold = dispatch_threshold();
-        if threshold == NEVER_SPAWN {
-            return 1;
-        }
-        let work = (items as u64).saturating_mul(grain_elems as u64);
-        if work < threshold {
-            1
-        } else {
-            width
-        }
     }
 }
 
@@ -545,33 +355,12 @@ pub fn fan_out<T: Send, R: Send>(
     }
 }
 
-/// Runs one dispatch of `items * grain_elems` element-operations and,
-/// above the observation floor, books its time into the crossover
-/// feedback (a plain call without the `parallel` feature).
-fn timed<R>(items: usize, grain_elems: usize, threads: usize, run: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "parallel")]
-    {
-        let work = (items as u64).saturating_mul(grain_elems as u64);
-        let started = (work >= feedback::OBSERVE_MIN_ELEMS).then(std::time::Instant::now);
-        let out = run();
-        if let Some(t0) = started {
-            feedback::record(threads > 1, work, t0.elapsed().as_nanos() as u64);
-        }
-        out
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = (items, grain_elems, threads);
-        run()
-    }
-}
-
 /// Applies `f(index, &mut item)` to every element. `grain_elems` is the
 /// approximate element-operation cost of one item (see [`grain_linear`],
-/// [`grain_ntt`], [`GRAIN_COARSE`]); the adaptive dispatcher splits the
-/// slice into at most [`effective_threads`] contiguous chunks, each on a
-/// [`fan_out`] thread, when the total work clears the crossover
-/// threshold, and runs inline otherwise.
+/// [`grain_ntt`], [`GRAIN_COARSE`]). When the spawn rule holds
+/// ([`planned_threads`]) the slice is split into at most
+/// [`effective_threads`] contiguous chunks, each on a [`fan_out`]
+/// thread; otherwise it runs inline.
 ///
 /// `f` must be a pure function of its index and element for the result
 /// to be schedule-independent; every caller in this workspace satisfies
@@ -583,28 +372,26 @@ where
 {
     injected_limb_delay();
     let threads = planned_threads(items.len(), grain_elems);
-    timed(items.len(), grain_elems, threads, || {
-        if threads > 1 {
-            let chunk = items.len().div_ceil(threads);
-            fan_out(
-                items.chunks_mut(chunk).collect(),
-                false,
-                &|ci, slab: &mut [T]| {
-                    for (off, item) in slab.iter_mut().enumerate() {
-                        f(ci * chunk + off, item);
-                    }
-                },
-            );
-        } else {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
+    if threads > 1 {
+        let chunk = items.len().div_ceil(threads);
+        fan_out(
+            items.chunks_mut(chunk).collect(),
+            false,
+            &|ci, slab: &mut [T]| {
+                for (off, item) in slab.iter_mut().enumerate() {
+                    f(ci * chunk + off, item);
+                }
+            },
+        );
+    } else {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
         }
-    })
+    }
 }
 
-/// Computes `[f(0), f(1), .., f(count - 1)]` under the same adaptive
-/// dispatch as [`for_each_indexed`].
+/// Computes `[f(0), f(1), .., f(count - 1)]` under the same spawn rule
+/// as [`for_each_indexed`].
 pub fn map_indexed<T, F>(count: usize, grain_elems: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -612,20 +399,18 @@ where
 {
     injected_limb_delay();
     let threads = planned_threads(count, grain_elems);
-    timed(count, grain_elems, threads, || {
-        if threads > 1 {
-            let chunk = count.div_ceil(threads);
-            let starts = (0..count).step_by(chunk).collect();
-            fan_out(starts, false, &|_, lo: usize| {
-                (lo..(lo + chunk).min(count)).map(&f).collect::<Vec<T>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            (0..count).map(&f).collect()
-        }
-    })
+    if threads > 1 {
+        let chunk = count.div_ceil(threads);
+        let starts = (0..count).step_by(chunk).collect();
+        fan_out(starts, false, &|_, lo: usize| {
+            (lo..(lo + chunk).min(count)).map(&f).collect::<Vec<T>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    } else {
+        (0..count).map(&f).collect()
+    }
 }
 
 #[cfg(test)]
@@ -711,6 +496,23 @@ mod tests {
             assert_eq!(dispatch_threshold(), 42);
         });
         assert_eq!(LOCAL_THRESHOLD.with(|t| t.get()), outer);
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn spawn_rule_is_a_fixed_function_of_work_and_width() {
+        let half = (SPAWN_FLOOR_ELEMS / 2) as usize;
+        let answers = move || {
+            with_parallelism(Parallelism::Threads(2), || {
+                (planned_threads(2, half - 1), planned_threads(2, half))
+            })
+        };
+        assert_eq!(answers(), (1, 2));
+        let fresh = std::thread::spawn(answers).join().expect("fresh thread");
+        assert_eq!(fresh, (1, 2), "a fresh thread must decide alike");
+        if rayon::current_num_threads() >= 2 {
+            assert_eq!(dispatch_threshold(), SPAWN_FLOOR_ELEMS);
+        }
     }
 
     #[cfg(feature = "parallel")]
