@@ -585,7 +585,7 @@ fn serve_metrics_once(
 fn run_infer(seed: u64, report: &str, noise_floor_bits: f64) -> Result<String, CliError> {
     use fxhenn_ckks::{CkksContext, Encryptor, HeOpKind, KeyGenerator};
     use fxhenn_hw::{HeOpModule, OpClass};
-    use fxhenn_nn::executor::{try_encrypt_input, HeCnnExecutor};
+    use fxhenn_nn::executor::{try_encrypt_input_for, HeCnnExecutor};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -618,15 +618,11 @@ fn run_infer(seed: u64, report: &str, noise_floor_bits: f64) -> Result<String, C
     let rk = kg.relin_key();
     let gks = kg.galois_keys_at(&prog.required_rotations());
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(seed ^ 0x5eed));
-    let input = try_encrypt_input(&net, &image, &mut enc, ctx.degree() / 2)
-        .map_err(|e| err(e.to_string()))?;
     // Measured against the modeled cycles of `prog`, so run its schedule.
-    let mut exec = HeCnnExecutor::with_profile(
-        &ctx,
-        &rk,
-        &gks,
-        fxhenn_nn::LoweringProfile::PaperFaithful,
-    );
+    let faithful = fxhenn_nn::LoweringProfile::PaperFaithful;
+    let input = try_encrypt_input_for(&net, &image, &mut enc, ctx.degree() / 2, faithful)
+        .map_err(|e| err(e.to_string()))?;
+    let mut exec = HeCnnExecutor::with_profile(&ctx, &rk, &gks, faithful);
     exec.set_noise_floor_bits(noise_floor_bits);
     exec.start_spans();
     exec.start_layer_spans();

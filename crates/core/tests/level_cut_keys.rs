@@ -7,7 +7,7 @@
 
 use fxhenn::ckks::wire::encoded_len_galois_keys_v2;
 use fxhenn::ckks::{CkksContext, CkksParams, Encryptor, KeyGenerator};
-use fxhenn::nn::executor::{encrypt_input, HeCnnExecutor};
+use fxhenn::nn::executor::{encrypt_input, try_encrypt_input_for, HeCnnExecutor};
 use fxhenn::nn::{
     fxhenn_mnist, fxhenn_mnist_pooled, lower_network, synthetic_input, toy_cryptonets_like,
     toy_mnist_like, LoweringProfile, Network, NetworkBuilder,
@@ -68,8 +68,9 @@ fn every_builtin_network_runs_on_its_level_cut_keys() {
         let ctx = CkksContext::new(params);
         let image = synthetic_input(&net, 3);
         let mut enc = Encryptor::new(&ctx, keys.public_key.clone(), StdRng::seed_from_u64(6));
-        let input = encrypt_input(&net, &image, &mut enc, ctx.degree() / 2);
         for profile in [LoweringProfile::Optimized, LoweringProfile::PaperFaithful] {
+            let input = try_encrypt_input_for(&net, &image, &mut enc, ctx.degree() / 2, profile)
+                .expect("the image packs");
             let mut exec =
                 HeCnnExecutor::with_profile(&ctx, &keys.relin_key, &keys.galois_keys, profile);
             // Only the keys are under test here, not the noise budget.
@@ -114,14 +115,15 @@ fn executor_new_runs_the_optimized_profile() {
     debug_assertions,
     ignore = "paper scale (N = 8192): a fraction of a second in release, a minute in a debug build"
 )]
-fn mnist_key_frame_is_cut_to_744_limb_vectors() {
-    // 12 steps at level 5 (5 digits × 2 × 6 limbs) and step 1024 at
-    // level 3 (3 × 2 × 4): 744 limb vectors of 8192 words, plus 536
-    // header bytes. Every key at the top level was 95 420 952 bytes.
+fn mnist_key_frame_is_cut_to_792_limb_vectors() {
+    // 10 steps at level 5 (5 digits × 2 × 6 limbs), the tap-block fold's
+    // 2048 and 3072 at level 6 (6 × 2 × 7) and step 1024 at level 3
+    // (3 × 2 × 4): 792 limb vectors of 8192 words, plus 536 header
+    // bytes. Every key at the top level was 95 420 952 bytes.
     let keys = cached_keys(&fxhenn_mnist(1), &CkksParams::fxhenn_mnist());
     assert_eq!(keys.galois_keys.len(), 13);
     assert_eq!(
         encoded_len_galois_keys_v2(&keys.galois_keys),
-        744 * 8192 * 8 + 536
+        792 * 8192 * 8 + 536
     );
 }

@@ -37,11 +37,14 @@ use std::time::Instant;
 /// rescales once, and a rescale needs a prime to drop (level >= 2).
 const LAYER_LEVEL_NEED: usize = 2;
 
-/// The encrypted, offset-packed input of a network: one ciphertext per
-/// (output-map group, kernel offset).
+/// The encrypted, offset-packed input of a network, packed for one
+/// [`LoweringProfile`]: per output-map group, one ciphertext per kernel
+/// offset (`PaperFaithful`, LoLa's packing) or per block of taps
+/// (`Optimized`, where the network allows tap blocks).
 #[derive(Debug, Clone)]
 pub struct EncryptedInput {
-    /// `groups[g][i]` is the ciphertext for group `g`, kernel offset `i`.
+    /// `groups[g][c]` is input ciphertext `c` of group `g`: kernel offset
+    /// `c`, or offsets `c·k .. c·k + k` in `k` tap blocks.
     pub groups: Vec<Vec<Ciphertext>>,
 }
 
@@ -64,31 +67,46 @@ impl EncryptedOutput {
 }
 
 /// Encrypts an input image with the offset packing the network's first
-/// convolution expects, returning an [`ExecError`] when the network has
-/// no convolution front end or the image carries non-finite values.
+/// convolution expects under [`LoweringProfile::Optimized`], the profile
+/// [`HeCnnExecutor::new`] runs; [`try_encrypt_input_for`] packs for
+/// either. Returns an [`ExecError`] when the network has no convolution
+/// front end or the image carries non-finite values.
 pub fn try_encrypt_input<R: Rng>(
     net: &Network,
     image: &Tensor,
     enc: &mut Encryptor<'_, R>,
     slots: usize,
 ) -> Result<EncryptedInput, ExecError> {
-    let (name, conv, _) = front_conv(net, slots)?;
+    try_encrypt_input_for(net, image, enc, slots, LoweringProfile::Optimized)
+}
+
+/// [`try_encrypt_input`] packed for `profile`: an executor of another
+/// profile refuses the input with [`ExecError::PackingMismatch`] when
+/// the two packings differ.
+pub fn try_encrypt_input_for<R: Rng>(
+    net: &Network,
+    image: &Tensor,
+    enc: &mut Encryptor<'_, R>,
+    slots: usize,
+    profile: LoweringProfile,
+) -> Result<EncryptedInput, ExecError> {
+    let front = front_conv(net, slots, profile)?;
     if let Some(index) = image.data().iter().position(|v| !v.is_finite()) {
         return Err(ExecError::Eval {
-            layer: name.to_string(),
+            layer: front.name.to_string(),
             source: EvalError::NonFiniteValue { index },
         });
     }
-    let packed = conv_offset_pack(image, conv, slots);
+    let packed = conv_offset_pack(image, front.conv, slots, front.taps_per_ct);
     let groups = packed
         .iter()
-        .map(|offsets| offsets.iter().map(|v| enc.encrypt(v)).collect())
+        .map(|cts| cts.iter().map(|v| enc.encrypt(v)).collect())
         .collect();
     Ok(EncryptedInput { groups })
 }
 
 /// Encrypts an input image with the offset packing the network's first
-/// convolution expects.
+/// convolution expects under [`LoweringProfile::Optimized`].
 ///
 /// # Panics
 ///
@@ -200,22 +218,22 @@ impl<'a> HeCnnExecutor<'a> {
     ) -> Result<EncryptedOutput, ExecError> {
         let ctx = self.ev.context();
         let slots = ctx.degree() / 2;
-        let (name, conv, groups) = front_conv(net, slots)?;
+        let profile = self.profile;
+        let front = front_conv(net, slots, profile)?;
         let mismatch = |what, expected, got| ExecError::PackingMismatch {
-            layer: name.to_string(),
+            layer: front.name.to_string(),
             what,
             expected,
             got,
         };
-        if input.groups.len() != groups {
-            return Err(mismatch("group count", groups, input.groups.len()));
+        if input.groups.len() != front.groups {
+            return Err(mismatch("group count", front.groups, input.groups.len()));
         }
-        let taps = conv.offset_count();
-        if let Some(got) = input.groups.iter().map(Vec::len).find(|&n| n != taps) {
-            return Err(mismatch("offset count", taps, got));
+        let cts = front.cts_per_group();
+        if let Some(got) = input.groups.iter().map(Vec::len).find(|&n| n != cts) {
+            return Err(mismatch("offset count", cts, got));
         }
         let first = input.groups.first().and_then(|g| g.first());
-        let profile = self.profile;
         self.operands = (profile == LoweringProfile::Optimized)
             .then(|| net.plaintext_cache().for_run(ctx, first, net.layer_count()));
         let ran = walk(self, net, &input.groups, slots, profile);
@@ -494,8 +512,17 @@ mod tests {
 
     impl Rig {
         fn encrypt(&self, net: &Network, image: &Tensor) -> Result<EncryptedInput, ExecError> {
+            self.encrypt_for(net, image, LoweringProfile::Optimized)
+        }
+
+        fn encrypt_for(
+            &self,
+            net: &Network,
+            image: &Tensor,
+            profile: LoweringProfile,
+        ) -> Result<EncryptedInput, ExecError> {
             let mut enc = Encryptor::new(&self.ctx, self.pk.clone(), StdRng::seed_from_u64(32));
-            try_encrypt_input(net, image, &mut enc, self.ctx.degree() / 2)
+            try_encrypt_input_for(net, image, &mut enc, self.ctx.degree() / 2, profile)
         }
 
         /// `net`'s synthetic image of seed 7, encrypted.
@@ -621,8 +648,8 @@ mod tests {
         use fxhenn_math::par::{with_parallelism, Parallelism};
         let net = toy_mnist_like(15);
         let rig = rig_for(&net);
-        let input = rig.input(&net);
         for profile in [LoweringProfile::PaperFaithful, LoweringProfile::Optimized] {
+            let input = rig.encrypt_for(&net, &synthetic_input(&net, 7), profile).expect("packs");
             let (degree, levels) = (rig.ctx.degree(), rig.ctx.max_level());
             let prog = try_lower_network_with(&net, degree, levels, profile).expect("lowers");
             for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
@@ -632,6 +659,29 @@ mod tests {
                 let measured = exec.take_trace().expect("trace started");
                 assert_eq!(measured, prog.total_trace(), "{profile:?} {parallelism:?}");
             }
+        }
+    }
+
+    #[test]
+    fn tap_blocks_input_of_the_other_profile_is_refused_typed() {
+        // The toy network packs its 9 taps into one ciphertext of 16
+        // blocks for `Optimized`, into 9 for `PaperFaithful`: an input
+        // packed for one profile is refused by the other's executor
+        // before a single operation.
+        use LoweringProfile::{Optimized, PaperFaithful};
+        let net = toy_mnist_like(24);
+        let rig = rig_for(&net);
+        let image = synthetic_input(&net, 7);
+        let cases = [(PaperFaithful, Optimized, 1, 9), (Optimized, PaperFaithful, 9, 1)];
+        for (packed_for, run_as, expected, got) in cases {
+            let input = rig.encrypt_for(&net, &image, packed_for).expect("packs");
+            let mut exec = HeCnnExecutor::with_profile(&rig.ctx, &rig.rk, &rig.gks, run_as);
+            exec.start_trace();
+            let err = exec.try_run(&net, &input).expect_err("the packings differ");
+            let what = "offset count";
+            let refused = ExecError::PackingMismatch { layer: "Cnv1".into(), what, expected, got };
+            assert_eq!(err, refused, "{packed_for:?} input on a {run_as:?} executor");
+            assert_eq!(exec.take_trace().expect("trace started").hop_count(), 0, "no HOP booked");
         }
     }
 

@@ -94,6 +94,10 @@ pub enum Layout {
     /// Window-packed dense output: one ciphertext, value `k` at slot
     /// `(slots − m·k) mod slots`, residue elsewhere.
     Windowed { n: usize, m: usize },
+    /// Tap-block convolution output: one ciphertext, value `k` at slot
+    /// `c·seg + k` of every block `c` — the stacked copies a dense
+    /// layer's prologue would otherwise build (DESIGN.md §16).
+    Replicated { n: usize, seg: usize },
 }
 
 /// The rotate-and-sum and replication shifts a dense lowering uses, all
@@ -122,15 +126,18 @@ pub struct DensePlan {
 /// width and slot count — shared by the analytic lowering and the
 /// functional executor so they can never diverge.
 pub fn plan_dense(input: &Layout, d_out: usize, slots: usize) -> DensePlan {
-    let d_in = input.value_count();
-    let stacked = matches!(input, Layout::SingleContig { .. }) && next_pow2(d_in) * 2 <= slots;
-    let (seg, copies, stack_shifts, sum_shifts) = if stacked {
-        let seg = next_pow2(d_in);
-        let copies = slots / seg;
-        let stack = (0..copies.trailing_zeros()).map(|t| slots - seg * (1 << t)).collect();
-        (seg, copies, stack, pow2_steps(1, seg).collect())
-    } else {
-        (1, 1, Vec::new(), input.rotate_sum_shifts(slots))
+    let stack_seg = input.stack_seg(slots);
+    let stacked = stack_seg.is_some();
+    let (seg, copies, stack_shifts, sum_shifts) = match stack_seg {
+        Some(seg) => {
+            // A replicated input arrives stacked.
+            let stack = match input {
+                Layout::Replicated { .. } => Vec::new(),
+                _ => stack_shifts(seg, slots),
+            };
+            (seg, slots / seg, stack, pow2_steps(1, seg).collect())
+        }
+        None => (1, 1, Vec::new(), input.rotate_sum_shifts(slots)),
     };
     let rounds = d_out.div_ceil(copies);
     let consolidate = rounds > CONSOLIDATE_THRESHOLD;
@@ -151,7 +158,24 @@ pub fn plan_dense(input: &Layout, d_out: usize, slots: usize) -> DensePlan {
     }
 }
 
+/// Left-rotation steps that replicate the values of one `seg`-wide block
+/// into all `slots / seg` blocks: `x ← x + rot(x, s)` for each, in turn.
+pub(crate) fn stack_shifts(seg: usize, slots: usize) -> Vec<usize> {
+    (0..(slots / seg).trailing_zeros()).map(|t| slots - seg * (1 << t)).collect()
+}
+
 impl Layout {
+    /// The segment width a dense layer stacks this input into, if it
+    /// stacks it: a contiguous input at most half the slots wide, or an
+    /// input that already is stacked.
+    pub(crate) fn stack_seg(&self, slots: usize) -> Option<usize> {
+        match *self {
+            Layout::SingleContig { n } => (next_pow2(n) * 2 <= slots).then(|| next_pow2(n)),
+            Layout::Replicated { seg, .. } => Some(seg),
+            _ => None,
+        }
+    }
+
     /// Number of logical values at this boundary.
     pub fn value_count(&self) -> usize {
         match *self {
@@ -161,7 +185,8 @@ impl Layout {
             | Layout::PerOutput { n }
             | Layout::ScatteredSingle { n, .. }
             | Layout::Blocked { n, .. }
-            | Layout::Windowed { n, .. } => n,
+            | Layout::Windowed { n, .. }
+            | Layout::Replicated { n, .. } => n,
         }
     }
 
@@ -171,7 +196,8 @@ impl Layout {
             Layout::SingleContig { .. }
             | Layout::ScatteredSingle { .. }
             | Layout::Blocked { .. }
-            | Layout::Windowed { .. } => 1,
+            | Layout::Windowed { .. }
+            | Layout::Replicated { .. } => 1,
             Layout::MultiContig { n, per_ct } => n.div_ceil(per_ct),
             Layout::Segmented { cts, .. } => cts,
             Layout::PerOutput { n } => n,
@@ -183,7 +209,9 @@ impl Layout {
     pub fn rotate_sum_shifts(&self, slots: usize) -> Vec<usize> {
         let across = |copies: usize, seg: usize| pow2_steps(seg, seg * next_pow2(copies));
         match *self {
-            Layout::SingleContig { n } => pow2_steps(1, next_pow2(n)).collect(),
+            Layout::SingleContig { n } | Layout::Replicated { n, .. } => {
+                pow2_steps(1, next_pow2(n)).collect()
+            }
             Layout::MultiContig { .. } => pow2_steps(1, next_pow2(slots)).collect(),
             Layout::Segmented { copies, seg, .. } => across(copies, seg).collect(),
             Layout::PerOutput { .. } => Vec::new(),
@@ -199,7 +227,8 @@ impl Layout {
     pub fn placements(&self, slots: usize) -> Vec<(usize, usize)> {
         let n = self.value_count();
         let at = |k: usize| match *self {
-            Layout::SingleContig { .. } => (0, k),
+            // A replicated value is read from its first block.
+            Layout::SingleContig { .. } | Layout::Replicated { .. } => (0, k),
             Layout::MultiContig { per_ct, .. } => (k / per_ct, k % per_ct),
             Layout::Segmented { copies, seg, .. } => (k / copies, (k % copies) * seg),
             Layout::PerOutput { .. } => (k, 0),
@@ -221,7 +250,7 @@ fn pow2_steps(from: usize, to: usize) -> impl Iterator<Item = usize> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinearPlan {
     /// Left-rotation steps replicating a contiguous input into stacked
-    /// copies first (empty for a blocked input).
+    /// copies first (empty for a blocked or replicated input).
     pub stack_shifts: Vec<usize>,
     /// The diagonal schedule.
     pub schedule: LinearSchedule,
@@ -233,7 +262,8 @@ pub struct LinearPlan {
 /// allows one; `None` keeps the [`plan_dense`] schedule.
 ///
 /// * A stackable contiguous input (`seg = next_pow2(d_in)`,
-///   `copies = slots/seg`) becomes GAZELLE-style hybrid diagonals: block
+///   `copies = slots/seg`), or one a tap-block convolution already
+///   replicated, becomes GAZELLE-style hybrid diagonals: block
 ///   `c` of the stacked input computes outputs `m·c … m·c + m − 1` with
 ///   `m = next_pow2(⌈d_out/copies⌉)` diagonals, then folds by
 ///   `m, 2m, …, seg/2`. Output `k` lands at `(k / m)·seg + k % m`.
@@ -247,7 +277,7 @@ pub struct LinearPlan {
 /// already uses.
 pub fn plan_linear(input: &Layout, d_out: usize, slots: usize) -> Option<LinearPlan> {
     match *input {
-        Layout::SingleContig { .. } => {
+        Layout::SingleContig { .. } | Layout::Replicated { .. } => {
             let dense = plan_dense(input, d_out, slots);
             let m = next_pow2(d_out.div_ceil(dense.copies));
             (dense.stacked && m <= dense.seg).then(|| LinearPlan {
@@ -421,20 +451,20 @@ fn lower_profile(
     profile: LoweringProfile,
 ) -> Result<(HeCnnProgram, Vec<RotationSet>), LowerError> {
     let slots = degree / 2;
-    let (_, conv, groups) = front_conv(net, slots)?;
-    let input = vec![vec![max_level; conv.offset_count()]; groups];
     let record = |profile, trace: Option<OpTrace>| {
+        let front = front_conv(net, slots, profile)?;
+        let input = vec![vec![max_level; front.cts_per_group()]; front.groups];
         let mut rec = Recorder { trace, rotates_by: vec![0; slots.div_ceil(64)], layers: vec![] };
         let done = walk(&mut rec, net, &input, slots, profile);
-        (rec.layers, done)
+        Ok((rec.layers, done))
     };
-    let (layers, done) = record(profile, Some(OpTrace::new()));
+    let (layers, done) = record(profile, Some(OpTrace::new()))?;
     done?;
     let other = match profile {
         LoweringProfile::PaperFaithful => LoweringProfile::Optimized,
         LoweringProfile::Optimized => LoweringProfile::PaperFaithful,
     };
-    let other = record(other, None).0.into_iter().map(|l| l.rotation_steps).collect();
+    let other = record(other, None)?.0.into_iter().map(|l| l.rotation_steps).collect();
     let network_name = net.name().to_string();
     Ok((HeCnnProgram { network_name, degree, max_level, layers }, other))
 }
@@ -454,7 +484,9 @@ pub fn lower_network(net: &Network, degree: usize, max_level: usize) -> HeCnnPro
 
 /// The lowering's [`Backend`]: a ciphertext is its level. Every op goes
 /// into the layer's trace (when there is one), every rotation step into
-/// the layer's key set, at the layer's entry level.
+/// the layer's key set, at the layer's entry level — the first
+/// convolution's at its exit level: it rotates only in the tap-block
+/// fold, after its one rescale.
 struct Recorder {
     trace: Option<OpTrace>,
     /// The layer's rotation steps so far, as a bit set: step `s` is bit
@@ -488,6 +520,8 @@ impl Backend for Recorder {
     }
 
     fn leave(&mut self, at: &At<'_>, step: &Step<usize>) -> Result<(), LowerError> {
+        let level_out = step.out.first().copied().unwrap_or(0);
+        let key_level = if at.index == 0 { level_out } else { at.level };
         let mut steps = Vec::new();
         for (w, word) in self.rotates_by.iter_mut().enumerate() {
             while *word != 0 {
@@ -502,9 +536,9 @@ impl Backend for Recorder {
             input_cts: at.cts,
             output_cts: step.out.len(),
             level_in: at.level,
-            level_out: step.out.first().copied().unwrap_or(0),
+            level_out,
             plaintext_words: step.words,
-            rotation_steps: RotationSet::at_level(steps, at.level),
+            rotation_steps: RotationSet::at_level(steps, key_level),
         });
         Ok(())
     }
@@ -675,9 +709,13 @@ mod tests {
         let fast = try_lower_network_with(&fxhenn_mnist(1), 8192, 7, LoweringProfile::Optimized);
         let fast = fast.unwrap();
         let per_layer: Vec<_> = fast.layers.iter().map(|l| (l.hop_count(), l.key_switch_count())).collect();
-        // Cnv1 25 PCmult + 24 CCadd + Rescale + PCadd; Fc1 2 stack + 7
-        // baby + 3 giant + 5 fold rotations; Fc2 9 packing + 7 fold.
-        assert_eq!(per_layer, [(51, 0), (3, 1), (89, 17), (3, 1), (44, 16)]);
+        // Cnv1 7 PCmult + 6 CCadd + Rescale over four-tap blocks, then the
+        // two stacking rotations (and CCadds) and the PCadd; Fc1 7 baby +
+        // 3 giant + 5 fold rotations; Fc2 9 packing + 7 fold.
+        assert_eq!(per_layer, [(19, 2), (3, 1), (85, 15), (3, 1), (44, 16)]);
+        let cnv1 = &fast.layers[0];
+        assert_eq!((cnv1.input_cts, cnv1.class), (7, HeLayerClass::Ks));
+        assert_eq!(cnv1.rotation_steps.with_levels().collect::<Vec<_>>(), [(2048, 6), (3072, 6)]);
         let fc2 = fast.layer("Fc2").unwrap();
         assert_eq!(fc2.trace.count_of(HeOpKind::PcMult), 10);
         assert_eq!((fc2.input_cts, fc2.output_cts), (1, 1));
@@ -704,15 +742,18 @@ mod tests {
             let extra: Vec<_> = fast.iter().filter(|s| !faithful.contains(s)).collect();
             assert!(extra.is_empty(), "{}: new steps {extra:?}", net.name());
             // So the public lowering is the faithful one, untouched but
-            // for the level a key must reach: pooled MNIST's optimized
-            // Fc1 skips Pool1's consolidation and rotates a level higher.
+            // for which layer lists a step and the level its key must
+            // reach: the tap-block fold stacks at Cnv1's exit level, one
+            // above the dense layer that stacked before (CIFAR10 has no
+            // tap blocks), and pooled MNIST's optimized Fc1 skips Pool1's
+            // consolidation.
             let mut public = lower_network(&net, degree, levels);
             let (pure, _) =
                 lower_profile(&net, degree, levels, LoweringProfile::PaperFaithful).unwrap();
             let raised = public.required_rotations() != pure.required_rotations();
-            assert_eq!(raised, net.name() == "FxHENN-MNIST-pooled", "{}", net.name());
+            assert_eq!(raised, net.name() != "FxHENN-CIFAR10", "{}", net.name());
+            assert_eq!(*public.required_rotations(), *pure.required_rotations(), "{}", net.name());
             for (layer, own) in public.layers.iter_mut().zip(&pure.layers) {
-                assert_eq!(*layer.rotation_steps, *own.rotation_steps, "{}", net.name());
                 layer.rotation_steps = own.rotation_steps.clone();
             }
             assert_eq!(public, pure, "{}", net.name());
@@ -759,7 +800,7 @@ mod tests {
     #[test]
     fn key_set_is_the_union_when_the_profiles_differ() {
         // No architecture above has an optimized schedule outside its
-        // faithful key set, so the merge is shown on a doctored program:
+        // faithful key set, so a new step is shown on a doctored program:
         // Fc1 (level 5) rotates by 1..16, Fc2 (level 3) by 32..256.
         let net = toy_mnist_like(1);
         let (mut prog, mut other) =
@@ -776,8 +817,109 @@ mod tests {
         assert_eq!(fc2.level(32), Some(3));
         assert_eq!(fc2.level(64), Some(4));
         assert_eq!(prog.required_rotations().level(1), Some(5));
-        assert_eq!(prog.layers[..4], before.layers[..4]);
+        // Undoctored, the optimized Cnv1 folds its 16 tap blocks by
+        // Fc1's stacking steps at level 6, one above Fc1: they land on
+        // Cnv1 at that level.
+        let cnv1 = &prog.layers[0].rotation_steps;
+        assert_eq!(cnv1.with_levels().collect::<Vec<_>>(), [(256, 6), (384, 6), (448, 6), (480, 6)]);
+        assert_eq!(prog.layers[0].trace, before.layers[0].trace);
+        assert_eq!(prog.layers[1..4], before.layers[1..4]);
         assert_eq!(prog.layers[4].trace, before.layers[4].trace);
+    }
+
+    /// FNV-1a over a value's `Debug` text: one exact number for a program.
+    fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        std::fmt::Write::write_fmt(&mut h, format_args!("{value:?}")).expect("hashing never fails");
+        h.0
+    }
+
+    #[test]
+    fn tap_blocks_change_only_the_optimized_programs_they_pack() {
+        use crate::model::{fxhenn_mnist_pooled, toy_cryptonets_like};
+        use crate::walk::front_conv;
+        use LoweringProfile::{Optimized, PaperFaithful};
+        // Debug digests of each profile's own program (an `Err` when the
+        // network does not lower there) before tap blocks existed:
+        // (N, L, faithful, optimized).
+        type Digests = [(usize, usize, u64, u64); 4];
+        let before: [(Network, Digests); 5] = [
+            (fxhenn_mnist(1), [
+                (1024, 7, 0xf24a_3d22_8194_c950, 0x02a8_50fc_f42d_0b60),
+                (8192, 7, 0x4f1c_45dc_33c5_23cb, 0xe7df_256f_0c2f_a29a),
+                (8192, 9, 0xada3_af30_ff69_8ca3, 0xda61_347e_4b12_6834),
+                (16384, 7, 0x679a_c95f_c725_678c, 0xaee0_c82d_a59f_646e),
+            ]),
+            (fxhenn_cifar10(1), [
+                (1024, 7, 0x0031_4d37_8e31_8638, 0x1a54_e71f_7b8e_a8f8),
+                (8192, 7, 0xcc2a_0201_efda_1bcf, 0xc93c_10c8_e967_17ef),
+                (8192, 9, 0x1229_3aa7_e0f0_cd25, 0xc462_0e26_1002_3b15),
+                (16384, 7, 0xb0f1_a923_1742_dd57, 0xc5bc_bc0d_73f7_1387),
+            ]),
+            (toy_mnist_like(1), [
+                (1024, 7, 0x579b_c519_d0d2_abbd, 0x1360_f077_3792_93a7),
+                (8192, 7, 0x95da_f23c_a46f_b663, 0x3975_fed3_25fd_e778),
+                (8192, 9, 0xe3d4_5530_abea_d4e7, 0x93c1_fc1c_013c_41ef),
+                (16384, 7, 0x0cd3_8668_0d18_678f, 0xc8f5_19d2_a5f9_bf01),
+            ]),
+            (fxhenn_mnist_pooled(1), [
+                (1024, 7, 0x71b9_3814_ef99_90be, 0x71b9_3814_ef99_90be),
+                (8192, 7, 0x71b9_3814_ef99_90be, 0x5dfc_0c9d_2b82_a425),
+                (8192, 9, 0x770b_2812_f883_f2a5, 0x8f9a_64f6_f43d_ab9b),
+                (16384, 7, 0x5dfc_0c9d_2b82_a425, 0x5dfc_0c9d_2b82_a425),
+            ]),
+            (toy_cryptonets_like(1), [
+                (1024, 7, 0x5258_5f0e_72a5_e12e, 0x3544_3d1e_5db8_6beb),
+                (8192, 7, 0x686f_bf60_db19_7e18, 0x1588_9e2c_1fd2_abbd),
+                (8192, 9, 0x816b_d3fb_62dc_cf24, 0x9510_ae22_abc3_8dfa),
+                (16384, 7, 0x2feb_c729_85f5_7ba6, 0x05a7_26fd_8927_5ed6),
+            ]),
+        ];
+        let mut changed = Vec::new();
+        for (net, cases) in &before {
+            for &(degree, levels, faithful, fast) in cases {
+                let own = |profile| {
+                    debug_digest(&lower_profile(net, degree, levels, profile).map(|(p, _)| p))
+                };
+                let case = format!("{} {degree}/{levels}", net.name());
+                assert_eq!(own(PaperFaithful), faithful, "{case}: the faithful program moved");
+                let taps = front_conv(net, degree / 2, Optimized).expect("a conv front end").taps_per_ct;
+                let lowers = lower_profile(net, degree, levels, Optimized).is_ok();
+                if taps > 1 && lowers {
+                    assert_ne!(own(Optimized), fast, "{case}: {taps} taps per ciphertext");
+                    changed.push(case);
+                } else {
+                    assert_eq!(own(Optimized), fast, "{case}: one tap per ciphertext");
+                }
+            }
+        }
+        // Tap blocks wherever the maps fit half the slots and a dense
+        // layer or a pooling reads them: all but CIFAR10, and MNIST only
+        // where its 845 values are not split over three ciphertexts.
+        let expected = [
+            "FxHENN-MNIST 8192/7",
+            "FxHENN-MNIST 8192/9",
+            "FxHENN-MNIST 16384/7",
+            "Toy-MNIST-like 1024/7",
+            "Toy-MNIST-like 8192/7",
+            "Toy-MNIST-like 8192/9",
+            "Toy-MNIST-like 16384/7",
+            "FxHENN-MNIST-pooled 8192/9",
+            "Toy-CryptoNets-like 1024/7",
+            "Toy-CryptoNets-like 8192/7",
+            "Toy-CryptoNets-like 8192/9",
+            "Toy-CryptoNets-like 16384/7",
+        ];
+        assert_eq!(changed, expected);
     }
 
     #[test]

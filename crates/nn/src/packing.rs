@@ -173,21 +173,27 @@ pub fn next_pow2(x: usize) -> usize {
 }
 
 /// Offset packing of a convolution input (the client-side packing of the
-/// first layer).
+/// first layer), `taps_per_ct` kernel taps per ciphertext.
 ///
-/// Returns, for each output-map group `g` and kernel offset `i`
-/// (channel-major: `i = (c·kh + y)·kw + x`), the slot vector holding the
-/// input pixel each output position touches through tap `i`, replicated
-/// once per output map in the group. Indexed `result[g][i]`.
+/// Returns, for each output-map group `g` and input ciphertext `t`, the
+/// slot vector holding, for every kernel offset `i` it carries
+/// (channel-major: `i = (c·kh + y)·kw + x`), the input pixel each output
+/// position touches through tap `i`, replicated once per output map in
+/// the group. Indexed `result[g][t]`. With one tap per ciphertext this
+/// is LoLa's packing, which `PaperFaithful` runs; the `Optimized`
+/// packing of [`front_conv`](crate::walk) puts `k` taps in `k` blocks
+/// of `slots / k`: tap `i` in block `i mod k` of ciphertext `i / k`.
 ///
 /// # Panics
 ///
-/// Panics if the input shape mismatches the convolution, or a single
-/// map's positions exceed the slot count.
+/// Panics if the input shape mismatches the convolution, a single map's
+/// positions exceed the slot count, or the maps of a group do not fit
+/// one block.
 pub fn conv_offset_pack(
     input: &Tensor,
     conv: &Conv2d,
     slots: usize,
+    taps_per_ct: usize,
 ) -> Vec<Vec<Vec<f64>>> {
     assert_eq!(input.shape().len(), 3, "conv input must be CHW");
     assert_eq!(input.shape()[0], conv.in_channels, "channel mismatch");
@@ -196,23 +202,30 @@ pub fn conv_offset_pack(
     let positions = oh * ow;
     assert!(positions <= slots, "one map's positions must fit in the slots");
     let (maps_per_group, groups) = conv_groups(conv, positions, slots);
+    let seg = slots / taps_per_ct;
+    let fits = taps_per_ct == 1 || conv.out_channels * positions <= seg;
+    assert!(fits, "the maps must fit one block");
 
+    let taps = conv.offset_count();
     (0..groups)
         .map(|g| {
             let maps_here = maps_per_group.min(conv.out_channels - g * maps_per_group);
-            (0..conv.offset_count())
-                .map(|i| {
-                    let c = i / (conv.kernel.0 * conv.kernel.1);
-                    let rest = i % (conv.kernel.0 * conv.kernel.1);
-                    let kh = rest / conv.kernel.1;
-                    let kw = rest % conv.kernel.1;
+            (0..taps.div_ceil(taps_per_ct))
+                .map(|ct| {
                     let mut v = vec![0.0; slots];
-                    for m in 0..maps_here {
-                        for y in 0..oh {
-                            for x in 0..ow {
-                                let slot = m * positions + y * ow + x;
-                                v[slot] =
-                                    input.at3(c, y * conv.stride.0 + kh, x * conv.stride.1 + kw);
+                    for i in ct * taps_per_ct..((ct + 1) * taps_per_ct).min(taps) {
+                        let c = i / (conv.kernel.0 * conv.kernel.1);
+                        let rest = i % (conv.kernel.0 * conv.kernel.1);
+                        let kh = rest / conv.kernel.1;
+                        let kw = rest % conv.kernel.1;
+                        let block = (i % taps_per_ct) * seg;
+                        for m in 0..maps_here {
+                            for y in 0..oh {
+                                for x in 0..ow {
+                                    let slot = block + m * positions + y * ow + x;
+                                    v[slot] =
+                                        input.at3(c, y * conv.stride.0 + kh, x * conv.stride.1 + kw);
+                                }
                             }
                         }
                     }
@@ -230,36 +243,63 @@ pub fn conv_groups(conv: &Conv2d, positions: usize, slots: usize) -> (usize, usi
     (maps_per_group, conv.out_channels.div_ceil(maps_per_group))
 }
 
-/// `value(map)` at every slot of each map's block in group `g`.
+/// `value(block, map)` at every slot of each map's positions in group
+/// `g`, in each of `blocks` tap blocks of `slots / blocks`.
 fn per_map_block(
     conv: &Conv2d,
     positions: usize,
     slots: usize,
     g: usize,
-    value: impl Fn(usize) -> f64,
+    blocks: usize,
+    value: impl Fn(usize, usize) -> f64,
 ) -> Vec<f64> {
+    let seg = slots / blocks;
     let (maps_per_group, _) = conv_groups(conv, positions, slots);
     let maps_here = maps_per_group.min(conv.out_channels - g * maps_per_group);
     let mut v = vec![0.0; slots];
-    for m in 0..maps_here {
-        v[m * positions..(m + 1) * positions].fill(value(g * maps_per_group + m));
+    for block in 0..blocks {
+        for m in 0..maps_here {
+            let at = block * seg + m * positions;
+            v[at..at + positions].fill(value(block, g * maps_per_group + m));
+        }
     }
     v
 }
 
-/// The weight vector aligned with [`conv_offset_pack`]'s ciphertext for
-/// group `g`, kernel offset `i`: `weight(map, offset i)` at every slot of
-/// each map's block.
-pub fn conv_tap_weights(conv: &Conv2d, positions: usize, slots: usize, g: usize, i: usize) -> Vec<f64> {
-    let taps = conv.kernel.0 * conv.kernel.1;
-    let (c, kh, kw) = (i / taps, i % taps / conv.kernel.1, i % conv.kernel.1);
-    per_map_block(conv, positions, slots, g, |map| conv.weight(map, c, kh, kw))
+/// The weight vector aligned with [`conv_offset_pack`]'s ciphertext `t`
+/// of group `g` at `taps_per_ct` taps per ciphertext: in tap `i`'s block,
+/// `weight(map, offset i)` at every slot of each map's positions; zero in
+/// blocks past the last tap.
+pub fn conv_tap_weights(
+    conv: &Conv2d,
+    positions: usize,
+    slots: usize,
+    g: usize,
+    t: usize,
+    taps_per_ct: usize,
+) -> Vec<f64> {
+    let area = conv.kernel.0 * conv.kernel.1;
+    per_map_block(conv, positions, slots, g, taps_per_ct, |block, map| {
+        let i = t * taps_per_ct + block;
+        if i >= conv.offset_count() {
+            return 0.0;
+        }
+        let (ch, kh, kw) = (i / area, i % area / conv.kernel.1, i % conv.kernel.1);
+        conv.weight(map, ch, kh, kw)
+    })
 }
 
 /// The bias vector of group `g`, aligned with the conv output layout:
-/// `bias[map]` at every position of each map's block.
-pub fn conv_bias_vector(conv: &Conv2d, positions: usize, slots: usize, g: usize) -> Vec<f64> {
-    per_map_block(conv, positions, slots, g, |map| conv.bias[map])
+/// `bias[map]` at every position of each map's block, in each of
+/// `taps_per_ct` tap blocks.
+pub fn conv_bias_vector(
+    conv: &Conv2d,
+    positions: usize,
+    slots: usize,
+    g: usize,
+    taps_per_ct: usize,
+) -> Vec<f64> {
+    per_map_block(conv, positions, slots, g, taps_per_ct, |_, map| conv.bias[map])
 }
 
 /// Output positions per map of a convolution over an input of `shape`.
@@ -274,8 +314,10 @@ pub(crate) fn operand_values(op: Operand<'_>) -> Vec<f64> {
     if let (0, Layer::Conv(conv)) = (src.index, src.layer) {
         let positions = conv_positions(conv, src.shape);
         return match op.which {
-            Which::Weights(g, i) => conv_tap_weights(conv, positions, src.slots, g, i),
-            Which::Bias(g) | Which::Mask(g) => conv_bias_vector(conv, positions, src.slots, g),
+            Which::Weights(g, t) => conv_tap_weights(conv, positions, src.slots, g, t, src.copies),
+            Which::Bias(g) | Which::Mask(g) => {
+                conv_bias_vector(conv, positions, src.slots, g, src.copies)
+            }
         };
     }
     let mut v = vec![0.0; src.slots];
@@ -355,7 +397,7 @@ pub(crate) fn linear_diagonal(
         // Hybrid diagonals over the stacked input: block c computes
         // outputs m·c .. m·c + m, and diagonal `shift` pairs slot p of a
         // block with input (p + shift) mod seg.
-        (Layout::SingleContig { .. }, &Layout::Blocked { m, seg, .. }) => {
+        (Layout::SingleContig { .. } | Layout::Replicated { .. }, &Layout::Blocked { m, seg, .. }) => {
             for (j, d) in diag.iter_mut().enumerate() {
                 let (c, p) = (j / seg, j % seg);
                 let (k, v) = (m * c + p % m, (p + shift) % seg);
@@ -482,14 +524,14 @@ mod tests {
         let conv = small_conv();
         let input = Tensor::from_data(&[1, 3, 3], (1..=9).map(|v| v as f64).collect());
         let slots = 16; // positions = 4, 2 maps fit in one group
-        let packed = conv_offset_pack(&input, &conv, slots);
+        let packed = conv_offset_pack(&input, &conv, slots, 1);
         assert_eq!(packed.len(), 1, "one group");
         assert_eq!(packed[0].len(), 4, "four kernel offsets");
 
         // Emulate the HE computation in plaintext: sum_i pack_i * w_i + b.
-        let mut acc = conv_bias_vector(&conv, 4, slots, 0);
+        let mut acc = conv_bias_vector(&conv, 4, slots, 0, 1);
         for (i, tap) in packed[0].iter().enumerate() {
-            let weights = conv_tap_weights(&conv, 4, slots, 0, i);
+            let weights = conv_tap_weights(&conv, 4, slots, 0, i, 1);
             for (a, (x, w)) in acc.iter_mut().zip(tap.iter().zip(&weights)) {
                 *a += x * w;
             }
@@ -508,7 +550,7 @@ mod tests {
         let conv = small_conv();
         let input = Tensor::from_data(&[1, 3, 3], (1..=9).map(|v| v as f64).collect());
         let slots = 4; // only one map per group
-        let packed = conv_offset_pack(&input, &conv, slots);
+        let packed = conv_offset_pack(&input, &conv, slots, 1);
         assert_eq!(packed.len(), 2, "two groups");
         let layout = conv_output_layout(&conv, 4, slots);
         assert_eq!(layout.ct_count(), 2);
@@ -519,7 +561,7 @@ mod tests {
     fn multichannel_offsets_are_channel_major() {
         let conv = Conv2d::new(1, 2, (1, 1), (1, 1), vec![10.0, 20.0], vec![0.0]);
         let input = Tensor::from_data(&[2, 2, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let packed = conv_offset_pack(&input, &conv, 8);
+        let packed = conv_offset_pack(&input, &conv, 8, 1);
         assert_eq!(packed[0].len(), 2, "one offset per channel");
         // offset 0 = channel 0 pixels, offset 1 = channel 1 pixels
         assert_eq!(&packed[0][0][..4], &[1.0, 2.0, 3.0, 4.0]);
@@ -531,6 +573,6 @@ mod tests {
     fn oversized_positions_rejected() {
         let conv = small_conv();
         let input = Tensor::from_data(&[1, 5, 5], vec![0.0; 25]);
-        conv_offset_pack(&input, &conv, 8); // 16 positions > 8 slots
+        conv_offset_pack(&input, &conv, 8, 1); // 16 positions > 8 slots
     }
 }

@@ -41,8 +41,9 @@ impl OperandKey {
 /// One layer's plaintext operands.
 #[derive(Debug)]
 pub(crate) enum LayerOperands {
-    /// First convolution: per output group, the tap weights and then the
-    /// bias, each encoded by the first run that uses it.
+    /// First convolution: per output group, the weights of each input
+    /// ciphertext's taps and then the bias, each encoded by the first run
+    /// that uses it.
     Conv(Vec<OnceLock<Plaintext>>),
     /// A dense layer as one linear transform, and its bias.
     Linear(LinearTransform, Plaintext),
@@ -58,20 +59,20 @@ pub(crate) struct OperandSet {
 
 impl OperandSet {
     /// The slot keeping `op`, if it is one of the first convolution's:
-    /// per group, one slot per tap, then the bias.
+    /// per group, one slot per input ciphertext's taps, then the bias.
     pub(crate) fn conv_slot(&self, op: Operand<'_>) -> Option<&OnceLock<Plaintext>> {
         let (0, Layer::Conv(conv)) = (op.src.index, op.src.layer) else {
             return None;
         };
-        let taps = conv.offset_count() + 1;
+        let per_group = conv.offset_count().div_ceil(op.src.copies) + 1;
         let at = match op.which {
-            Which::Weights(g, i) => g * taps + i,
-            Which::Bias(g) | Which::Mask(g) => g * taps + taps - 1,
+            Which::Weights(g, c) => g * per_group + c,
+            Which::Bias(g) | Which::Mask(g) => g * per_group + per_group - 1,
         };
         let slots = self.layers.first()?.get_or_init(|| {
             let positions = conv_positions(conv, op.src.shape);
             let (_, groups) = conv_groups(conv, positions, op.src.slots);
-            LayerOperands::Conv((0..groups * taps).map(|_| OnceLock::new()).collect())
+            LayerOperands::Conv((0..groups * per_group).map(|_| OnceLock::new()).collect())
         });
         match slots {
             LayerOperands::Conv(slots) => slots.get(at),

@@ -15,16 +15,19 @@
 
 use crate::error::LowerError;
 use crate::layers::{Conv2d, Layer, SignRelu};
-use crate::lowering::{plan_dense, plan_linear, HeLayerClass, Layout, LinearPlan, LoweringProfile};
+use crate::lowering::{
+    plan_dense, plan_linear, stack_shifts, HeLayerClass, Layout, LinearPlan, LoweringProfile,
+};
 use crate::model::Network;
 use crate::packing::conv_groups;
 
 /// Which plaintext operand of a layer an [`Operand`] is.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Which {
-    /// The factor of a product: tap `.1` of group `.0` (first
-    /// convolution), round `.0`'s weights against input ciphertext `.1`
-    /// (dense), ciphertext `.0`'s factors (channel scale).
+    /// The factor of a product: input ciphertext `.1` of group `.0`
+    /// (first convolution: its taps' weights), round `.0`'s weights
+    /// against input ciphertext `.1` (dense), ciphertext `.0`'s factors
+    /// (channel scale).
     Weights(usize, usize),
     /// Group, round or ciphertext `.0`'s bias (a channel scale's shifts).
     Bias(usize),
@@ -43,7 +46,8 @@ pub(crate) struct Source<'w> {
     pub input: &'w Layout,
     pub slots: usize,
     /// A dense layer's outputs, how many one round computes, and how far
-    /// apart they sit.
+    /// apart they sit; the first convolution's taps per ciphertext and
+    /// the width of their blocks.
     pub d_out: usize,
     pub copies: usize,
     pub seg: usize,
@@ -120,10 +124,37 @@ pub(crate) trait Backend: Sized {
 pub(crate) type Item<'i, B> =
     dyn Fn(&mut B, usize) -> Result<<B as Backend>::Ct, <B as Backend>::Error> + Sync + 'i;
 
-/// A network's front convolution as the LoLa offset packing needs it:
-/// its name, the layer, and how many ciphertext groups its maps fill
-/// (one input ciphertext per group and kernel tap).
-pub(crate) fn front_conv(net: &Network, slots: usize) -> Result<(&str, &Conv2d, usize), LowerError> {
+/// A network's front convolution and the packing of its input.
+pub(crate) struct FrontConv<'n> {
+    pub name: &'n str,
+    pub conv: &'n Conv2d,
+    /// Ciphertext groups its output maps fill.
+    pub groups: usize,
+    /// Kernel taps per input ciphertext: tap `j` sits in block `j mod k`
+    /// of ciphertext `j / k`, at slot offset `(j mod k)·slots/k`.
+    pub taps_per_ct: usize,
+}
+
+impl FrontConv<'_> {
+    /// Input ciphertexts per group.
+    pub fn cts_per_group(&self) -> usize {
+        self.conv.offset_count().div_ceil(self.taps_per_ct)
+    }
+}
+
+/// A network's front convolution and how its input is packed: LoLa's
+/// offset packing, one input ciphertext per group and kernel tap, or —
+/// the one packing rule — `slots / seg` taps per ciphertext in tap
+/// blocks. Tap blocks need the `Optimized` profile, maps that fit one
+/// ciphertext (`seg = next_pow2(maps·positions)`), and a dense-like
+/// layer behind only activations whose plan stacks its input into
+/// `seg`-wide copies: the fold that sums the blocks then is that
+/// layer's stacking.
+pub(crate) fn front_conv(
+    net: &Network,
+    slots: usize,
+    profile: LoweringProfile,
+) -> Result<FrontConv<'_>, LowerError> {
     let (name, layer) = net.layers().first().ok_or(LowerError::EmptyNetwork)?;
     let Layer::Conv(conv) = layer else {
         return Err(LowerError::FirstLayerNotConv);
@@ -134,7 +165,19 @@ pub(crate) fn front_conv(net: &Network, slots: usize) -> Result<(&str, &Conv2d, 
     if positions > slots {
         return Err(LowerError::ConvDoesNotFitSlots { layer: name.clone(), positions, slots });
     }
-    Ok((name, conv, conv_groups(conv, positions, slots).1))
+    let groups = conv_groups(conv, positions, slots).1;
+    let consumer = net.layers()[1..]
+        .iter()
+        .map(|(_, layer)| layer)
+        .find(|layer| !matches!(layer, Layer::Activation(_) | Layer::SignAct(_)));
+    let dense_like = matches!(consumer, Some(Layer::Dense(_) | Layer::AvgPool(_) | Layer::Conv(_)));
+    // A stacked input is at most half the slots wide, so it is one group.
+    let seg = Layout::SingleContig { n: conv.out_channels * positions }.stack_seg(slots);
+    let taps_per_ct = match seg {
+        Some(seg) if profile == LoweringProfile::Optimized && dense_like => slots / seg,
+        _ => 1,
+    };
+    Ok(FrontConv { name, conv, groups, taps_per_ct })
 }
 
 /// A layer input's `(channels, height, width)`.
@@ -146,8 +189,8 @@ fn chw(layer: &str, shape: &[usize]) -> Result<(usize, usize, usize), LowerError
 }
 
 /// Walks `net` from its front convolution's packed input (`input[g][i]`:
-/// group `g`, kernel tap `i`) and returns the output ciphertexts and
-/// where the values are in them.
+/// group `g`, input ciphertext `i` of [`front_conv`]'s packing) and
+/// returns the output ciphertexts and where the values are in them.
 pub(crate) fn walk<B: Backend>(
     b: &mut B,
     net: &Network,
@@ -160,6 +203,7 @@ pub(crate) fn walk<B: Backend>(
     if count == 0 {
         return Err(LowerError::EmptyNetwork.into());
     }
+    let taps_per_ct = front_conv(net, slots, profile)?.taps_per_ct;
     let mut shape = net.input_shape().to_vec();
     // The first convolution reads `input`, not a slot layout.
     let mut layout = Layout::SingleContig { n: 0 };
@@ -178,7 +222,10 @@ pub(crate) fn walk<B: Backend>(
                 let (_, h, w) = chw(name, &shape)?;
                 let (oh, ow) = conv.output_size(h, w);
                 let step = match index {
-                    0 => first_conv(b, src, conv, oh * ow, input, profile)?,
+                    0 => {
+                        let src = Source { copies: taps_per_ct, seg: slots / taps_per_ct, ..src };
+                        first_conv(b, src, conv, oh * ow, input, profile)?
+                    }
                     // A mid-network convolution is a (sparse) dense layer.
                     _ => dense(b, src, &cts, conv.out_channels * oh * ow, profile)?,
                 };
@@ -266,10 +313,15 @@ fn fold<B: Backend>(b: &mut B, mut x: B::Ct, shifts: &[usize]) -> Result<B::Ct, 
     Ok(x)
 }
 
-/// The first convolution (offset packing, an NKS layer): per output
-/// group, one product per kernel tap, summed, plus the bias (Listing 1 of
-/// the paper). `PaperFaithful` rescales every tap product; `Optimized`
-/// sums them at Δ² and rescales once.
+/// The first convolution (offset packing; an NKS layer but over tap
+/// blocks): per output group, one product per input ciphertext, summed,
+/// plus the bias (Listing 1 of the paper). `PaperFaithful` rescales
+/// every tap product; `Optimized` sums them at Δ² and rescales once.
+/// Over tap blocks
+/// (`src.copies` taps per ciphertext, `src.seg` slots apart) the sum
+/// holds one partial convolution per block; folding it by the stacking
+/// steps of the dense layer that reads it leaves the whole convolution
+/// in every block, which is the layout that layer's stacking builds.
 fn first_conv<B: Backend>(
     b: &mut B,
     src: Source<'_>,
@@ -280,18 +332,22 @@ fn first_conv<B: Backend>(
 ) -> Result<Step<B::Ct>, B::Error> {
     let level = B::level(&input[0][0]);
     let per_tap = profile == LoweringProfile::PaperFaithful;
+    let (slots, seg) = (src.slots, src.seg);
+    let blocks = stack_shifts(seg, slots);
     let out = b.items(input.len(), &|b, g| {
         let sum = dot(b, &input[g], |i| src.op(Which::Weights(g, i)), per_tap)?;
+        let sum = fold(b, sum, &blocks)?;
         b.add_plain(&sum, src.op(Which::Bias(g)))
     })?;
-    let (maps_per_group, groups) = conv_groups(conv, positions, src.slots);
+    let (maps_per_group, groups) = conv_groups(conv, positions, slots);
     let n = conv.out_channels * positions;
-    let layout = match groups {
-        1 => Layout::SingleContig { n },
-        _ => Layout::MultiContig { n, per_ct: maps_per_group * positions },
+    let (layout, class) = match groups {
+        _ if src.copies > 1 => (Layout::Replicated { n, seg }, HeLayerClass::Ks),
+        1 => (Layout::SingleContig { n }, HeLayerClass::Nks),
+        _ => (Layout::MultiContig { n, per_ct: maps_per_group * positions }, HeLayerClass::Nks),
     };
-    let words = groups * (conv.offset_count() + 1) * src.slots * 2 * level;
-    Ok(Step { out, layout, class: HeLayerClass::Nks, words, op: "PCmult" })
+    let words = groups * (input[0].len() + 1) * slots * 2 * level;
+    Ok(Step { out, layout, class, words, op: "PCmult" })
 }
 
 /// A per-channel affine map (folded batch norm): one product, rescale
@@ -378,4 +434,80 @@ fn dense<B: Backend>(
     step.layout = Layout::ScatteredSingle { n, copies, seg, rounds: plan.rounds };
     step.words += words(plan.rounds * (level - 1));
     Ok(step)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::NetworkBuilder;
+    use crate::model::{fxhenn_mnist, synthetic_input, toy_mnist_like};
+    use crate::packing::{conv_bias_vector, conv_offset_pack, conv_tap_weights};
+
+    /// Runs Cnv1 and Act1 over the tap-block packing in plain `f64`, no
+    /// keys: per-block weights, the sum, the fold by the stacking steps
+    /// of the dense layer reading Act1, the bias; then checks every block
+    /// against `Network::forward` through Cnv1 and through Act1.
+    fn unpack_tap_blocks(net: &Network, slots: usize, taps_per_ct: usize, cts: usize) {
+        let front = front_conv(net, slots, LoweringProfile::Optimized).expect("a conv front end");
+        assert_eq!((front.taps_per_ct, front.groups, front.cts_per_group()), (taps_per_ct, 1, cts));
+        assert_eq!(front_conv(net, slots, LoweringProfile::PaperFaithful).expect("same").taps_per_ct, 1);
+        let (conv, seg) = (front.conv, slots / taps_per_ct);
+        let image = synthetic_input(net, 3);
+        let through = net.forward_trace(&image);
+        let n = through[0].data().len();
+        let positions = n / conv.out_channels;
+        let Layer::Dense(fc1) = &net.layers()[2].1 else {
+            panic!("Cnv1, Act1, then a dense layer");
+        };
+        let consumer = plan_dense(&Layout::SingleContig { n }, fc1.out_features, slots);
+        assert_eq!(consumer.seg, seg);
+
+        let packed = conv_offset_pack(&image, conv, slots, taps_per_ct);
+        let mut x = vec![0.0; slots];
+        for (c, ct) in packed[0].iter().enumerate() {
+            let w = conv_tap_weights(conv, positions, slots, 0, c, taps_per_ct);
+            for (x, (v, w)) in x.iter_mut().zip(ct.iter().zip(&w)) {
+                *x += v * w;
+            }
+        }
+        for &shift in &consumer.stack_shifts {
+            let before = x.clone();
+            for (j, x) in x.iter_mut().enumerate() {
+                *x += before[(j + shift) % slots];
+            }
+        }
+        let bias = conv_bias_vector(conv, positions, slots, 0, taps_per_ct);
+        x.iter_mut().zip(&bias).for_each(|(x, b)| *x += b);
+
+        for (layer, want) in through[..2].iter().enumerate() {
+            let got = match layer {
+                0 => x.clone(),
+                _ => x.iter().map(|v| v * v).collect(),
+            };
+            for block in got.chunks(seg) {
+                for (v, (&g, &w)) in block.iter().zip(want.data()).enumerate() {
+                    assert!((g - w).abs() < 1e-12, "{} layer {layer} value {v}: {g} vs {w}", net.name());
+                }
+                assert!(block[n..].iter().all(|&pad| pad == 0.0), "{}: padding stays zero", net.name());
+            }
+        }
+    }
+
+    #[test]
+    fn tap_blocks_unpack_to_the_convolution_in_every_block() {
+        // 25 taps in four 1024-slot blocks: 7 ciphertexts, one tap in the
+        // last.
+        unpack_tap_blocks(&fxhenn_mnist(1), 4096, 4, 7);
+        // 9 taps in sixteen 32-slot blocks: one ciphertext, 7 blocks empty.
+        unpack_tap_blocks(&toy_mnist_like(1), 512, 16, 1);
+        // Two input channels, 18 taps in four 128-slot blocks: the last
+        // of 5 ciphertexts holds two.
+        let two_channels = NetworkBuilder::new("two-channel", [2, 8, 8], 4)
+            .conv(2, 3, 1)
+            .square()
+            .dense(5)
+            .build(5)
+            .expect("a valid architecture");
+        unpack_tap_blocks(&two_channels, 512, 4, 5);
+    }
 }

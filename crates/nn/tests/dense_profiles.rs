@@ -11,7 +11,7 @@ use fxhenn_ckks::{
     register_he_metrics, CkksContext, CkksParams, Decryptor, Encryptor, GaloisKeys, KeyGenerator,
     OpTrace, PublicKey, RelinKey, RotationSet, SecretKey,
 };
-use fxhenn_nn::executor::{encrypt_input, EncryptedInput, HeCnnExecutor};
+use fxhenn_nn::executor::{try_encrypt_input_for, EncryptedInput, HeCnnExecutor};
 use fxhenn_nn::{
     fxhenn_cifar10, fxhenn_mnist, fxhenn_mnist_pooled, lower_network, synthetic_input,
     toy_cryptonets_like, toy_mnist_like, try_lower_network_with, LoweringProfile, Network,
@@ -64,10 +64,12 @@ impl Rig {
         }
     }
 
-    fn encrypt(&self, net: &Network, image_seed: u64) -> EncryptedInput {
+    /// `net`'s synthetic image of `image_seed`, packed for `profile`.
+    fn encrypt(&self, net: &Network, image_seed: u64, profile: LoweringProfile) -> EncryptedInput {
         let image = synthetic_input(net, image_seed);
         let mut enc = Encryptor::new(&self.ctx, self.pk.clone(), StdRng::seed_from_u64(32));
-        encrypt_input(net, &image, &mut enc, self.ctx.degree() / 2)
+        try_encrypt_input_for(net, &image, &mut enc, self.ctx.degree() / 2, profile)
+            .expect("the image packs")
     }
 }
 
@@ -106,11 +108,10 @@ fn max_diff(a: &[f64], b: &[f64]) -> f64 {
 /// layer of the optimized program is a linear transform.
 fn check_profiles(net: &Network, params: CkksParams, floor: f64, tol: f64, all_linear: bool) {
     let rig = Rig::new(net, params);
-    let input = rig.encrypt(net, 7);
     let expected = net.forward(&synthetic_input(net, 7)).into_data();
 
     let runs = PROFILES.map(|profile| {
-        let r = run(&rig, net, &input, profile, floor);
+        let r = run(&rig, net, &rig.encrypt(net, 7, profile), profile, floor);
         let err = max_diff(&r.logits, &expected);
         assert!(err < tol, "{} {profile:?}: logit error {err:e}", net.name());
 
@@ -177,17 +178,23 @@ fn paper_lowering_and_key_set_are_what_they_were() {
     assert_eq!(prog.hop_count(), 1282);
     assert_eq!(prog.key_switch_count(), 298);
     // Fc1 (entered at level 5) rotates by 1..512, 2048 and 3072; Fc2
-    // (level 3) by 1024 and 2048 — 13 keys, 12 of them cut to level 5.
+    // (level 3) by 1024 and 2048; the optimized Cnv1 folds its tap
+    // blocks by 3072 and 2048 at its exit level 6 — 13 keys: 10 cut to
+    // level 5, 2 to level 6, 1 to level 3.
+    let level = |s: usize| match s {
+        1024 => 3,
+        2048 | 3072 => 6,
+        _ => 5,
+    };
     let pow2 = (0..12).map(|t| 1usize << t);
-    let expected: RotationSet = pow2
-        .chain([3072])
-        .map(|s| (s, if s == 1024 { 3 } else { 5 }))
-        .collect();
+    let expected: RotationSet = pow2.chain([3072]).map(|s| (s, level(s))).collect();
     assert_eq!(prog.required_rotations(), expected);
 
     let fast = try_lower_network_with(&fxhenn_mnist(1), 8192, 7, LoweringProfile::Optimized)
         .expect("the network lowers");
-    assert_eq!((fast.hop_count(), fast.key_switch_count()), (190, 35));
+    // 25 taps in four-tap blocks: 7 input ciphertexts instead of 25.
+    assert_eq!((prog.layers[0].input_cts, fast.layers[0].input_cts), (25, 7));
+    assert_eq!((fast.hop_count(), fast.key_switch_count()), (154, 35));
     assert_eq!(fast.required_rotations(), expected);
 
     // Key sets of the other built-in networks, as before the optimized
@@ -209,8 +216,8 @@ fn operands_are_encoded_once_per_network_and_context() {
     let _turn = serial();
     let mut net = toy_mnist_like(14);
     let rig = Rig::new(&net, CkksParams::insecure_toy(7));
-    let input = rig.encrypt(&net, 7);
     let fast = LoweringProfile::Optimized;
+    let input = rig.encrypt(&net, 7, fast);
 
     let before = encodes();
     let first = run(&rig, &net, &input, fast, 0.0);
@@ -226,7 +233,7 @@ fn operands_are_encoded_once_per_network_and_context() {
     // Another context (a different special prime): the set is rebuilt,
     // not reused, and rebuilt again on the way back.
     let other = Rig::new(&net, CkksParams::new(1024, 7, 30, 50).expect("valid params"));
-    let other_input = other.encrypt(&net, 7);
+    let other_input = other.encrypt(&net, 7, fast);
     let expected = net.forward(&synthetic_input(&net, 7)).into_data();
     for (rig, input) in [(&other, &other_input), (&rig, &input)] {
         let before = encodes();
@@ -244,8 +251,10 @@ fn operands_are_encoded_once_per_network_and_context() {
     assert_eq!(net.plaintext_cache().cached_layers(), 0);
 
     // The faithful path encodes per request and leaves the cache alone.
+    let faithful = LoweringProfile::PaperFaithful;
+    let input = rig.encrypt(&net, 7, faithful);
     let before = encodes();
-    let _ = run(&rig, &net, &input, LoweringProfile::PaperFaithful, 0.0);
+    let _ = run(&rig, &net, &input, faithful, 0.0);
     assert!(encodes() - before > built);
     assert_eq!(net.plaintext_cache().cached_layers(), 0);
 }

@@ -5,7 +5,7 @@
 
 use crate::error::SimError;
 use fxhenn_ckks::{CkksContext, CkksParams, Decryptor, Encryptor, KeyGenerator, OpTrace};
-use fxhenn_nn::executor::{try_encrypt_input, HeCnnExecutor};
+use fxhenn_nn::executor::{try_encrypt_input_for, HeCnnExecutor};
 use fxhenn_nn::{try_lower_network, LoweringProfile, Network, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,12 +71,12 @@ pub fn try_cosimulate(
     let gks = kg.galois_keys_at(&prog.required_rotations());
 
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(seed ^ 1));
-    let input = try_encrypt_input(net, image, &mut enc, ctx.degree() / 2)?;
+    let faithful = LoweringProfile::PaperFaithful;
+    let input = try_encrypt_input_for(net, image, &mut enc, ctx.degree() / 2, faithful)?;
 
     // The co-simulation is the executable witness of the lowering the
     // hardware model prices, so it runs that schedule, not the fast one.
-    let mut exec =
-        HeCnnExecutor::with_profile(&ctx, &rk, &gks, LoweringProfile::PaperFaithful);
+    let mut exec = HeCnnExecutor::with_profile(&ctx, &rk, &gks, faithful);
     exec.start_trace();
     let he_started = std::time::Instant::now();
     let out = exec.try_run(net, &input)?;

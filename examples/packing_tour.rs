@@ -20,7 +20,7 @@ fn main() {
         unreachable!("MNIST starts with a conv");
     };
     let image = Tensor::zeros(&[1, 29, 29]);
-    let packed = conv_offset_pack(&image, conv, slots);
+    let packed = conv_offset_pack(&image, conv, slots, 1);
     println!(
         "kernel 5x5 -> {} offset ciphertexts per group, {} group(s)",
         packed[0].len(),
@@ -30,6 +30,10 @@ fn main() {
         "each holds one input pixel per output position, replicated for {} maps",
         conv.out_channels
     );
+    // The optimized client fills the 845-of-4096 slots with more taps:
+    // four 1024-slot blocks per ciphertext.
+    let blocks = conv_offset_pack(&image, conv, slots, 4);
+    println!("in tap blocks of 4 -> {} ciphertexts", blocks[0].len());
 
     // --- The stacked dense plan for Fc1 ---
     println!();

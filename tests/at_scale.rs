@@ -16,7 +16,7 @@
 //! closes to 0.24 s).
 
 use fxhenn::ckks::{CkksContext, CkksParams, Decryptor, Encryptor, KeyGenerator};
-use fxhenn::nn::executor::{encrypt_input, HeCnnExecutor};
+use fxhenn::nn::executor::{try_encrypt_input_for, HeCnnExecutor};
 use fxhenn::nn::{fxhenn_mnist, lower_network, synthetic_input, LoweringProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,13 +47,15 @@ fn full_mnist_inference_at_paper_parameters() {
 
     let t_enc = Instant::now();
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(2));
-    let input = encrypt_input(&net, &image, &mut enc, ctx.degree() / 2);
+    // Compared with `prog` below: pack for and run the schedule it
+    // describes.
+    let faithful = LoweringProfile::PaperFaithful;
+    let input = try_encrypt_input_for(&net, &image, &mut enc, ctx.degree() / 2, faithful)
+        .expect("the image packs");
     println!("encrypt (25 ciphertexts): {:.1} s", t_enc.elapsed().as_secs_f64());
 
     let t_inf = Instant::now();
-    // Compared with `prog` below: run the schedule it describes.
-    let mut exec =
-        HeCnnExecutor::with_profile(&ctx, &rk, &gks, LoweringProfile::PaperFaithful);
+    let mut exec = HeCnnExecutor::with_profile(&ctx, &rk, &gks, faithful);
     exec.start_trace();
     let out = exec.run(&net, &input);
     let trace = exec.take_trace().expect("traced");

@@ -101,7 +101,7 @@ fn golden_per_layer_programs_and_simulated_cycles() {
                 (0, 4, 3, 25, 25),
                 (6_307_840, 3, 2, 25, 10),
             ],
-            (13, 0x3778_e0cb_c19d_432b),
+            (13, 0xa305_4ecc_15a1_1213),
             [
                 [2_257_920, 705_331, 38_140_928, 3_973_939, 9_130_598],
                 [3_823_411, 593_510, 19_317_760, 2_184_806, 9_130_598],
