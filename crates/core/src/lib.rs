@@ -80,7 +80,10 @@ pub use serve::{
     VerifiedModel, WeightedFairQueue,
 };
 pub use telemetry::register_serve_metrics;
-pub use wire::{ingest_ciphertext, push_frame, FrameCursor, FrameError, IngestError};
+pub use wire::{
+    ingest_ciphertext, push_frame, read_request, FrameCursor, FrameError, IngestError,
+    RequestError,
+};
 
 /// Re-export of the observability substrate (collector, spans,
 /// exposition, attribution).

@@ -159,6 +159,82 @@ pub fn ingest_ciphertext<'a>(
     Ok(view)
 }
 
+/// Errors while reading a framed multi-ciphertext request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RequestError {
+    /// The frame stream itself is malformed.
+    Frame(FrameError),
+    /// A ciphertext frame failed to decode or range-check.
+    Ingest(IngestError),
+    /// The shape frame and the frames after it disagree.
+    Shape(&'static str),
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestError::Frame(e) => write!(f, "request frames: {e}"),
+            RequestError::Ingest(e) => write!(f, "request ciphertext: {e}"),
+            RequestError::Shape(why) => write!(f, "request shape: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for RequestError {}
+
+/// Reads a request: a shape frame of little-endian words (the group
+/// count, then each group's ciphertext count), one v2 ciphertext frame
+/// per promised ciphertext, and nothing after. Every ciphertext is
+/// ingested in place ([`ingest_ciphertext`]), so on an [`AlignedBytes`]
+/// receive buffer no residue word is copied. Counts drive loops, never
+/// allocations: a ciphertext is kept only once its frame has ingested.
+///
+/// # Errors
+///
+/// [`RequestError::Frame`] on a malformed frame stream,
+/// [`RequestError::Ingest`] on a ciphertext frame that fails to ingest,
+/// [`RequestError::Shape`] when the stream ends before the promised
+/// ciphertexts, the shape frame is empty, truncated, not whole words or
+/// has words left over, or frames follow the promised ciphertexts.
+pub fn read_request<'a>(
+    ctx: &CkksContext,
+    bytes: &'a [u8],
+) -> Result<Vec<Vec<CiphertextView<'a>>>, RequestError> {
+    let mut frames = FrameCursor::new(bytes);
+    let mut next = || match frames.next() {
+        Some(frame) => frame.map_err(RequestError::Frame),
+        None => Err(RequestError::Shape("request stream ended early")),
+    };
+    let shape = next()?;
+    if shape.len() % 8 != 0 {
+        return Err(RequestError::Shape("shape frame is not whole words"));
+    }
+    let mut counts = shape
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]));
+    let groups = counts
+        .next()
+        .ok_or(RequestError::Shape("shape frame is empty"))?;
+    let mut out = Vec::new();
+    for _ in 0..groups {
+        let len = counts
+            .next()
+            .ok_or(RequestError::Shape("shape frame is truncated"))?;
+        let mut group = Vec::new();
+        for _ in 0..len {
+            group.push(ingest_ciphertext(ctx, next()?).map_err(RequestError::Ingest)?);
+        }
+        out.push(group);
+    }
+    if counts.next().is_some() {
+        return Err(RequestError::Shape("shape frame has trailing words"));
+    }
+    match frames.next() {
+        None => Ok(out),
+        Some(_) => Err(RequestError::Shape("frames after the promised ciphertexts")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,5 +320,43 @@ mod tests {
             ingest_ciphertext(&ctx, payload),
             Err(IngestError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_request_reads_exactly_what_its_shape_frame_promises() {
+        let ctx = CkksContext::new(CkksParams::insecure_toy(3));
+        let pk = KeyGenerator::new(&ctx, StdRng::seed_from_u64(1)).public_key();
+        let ct = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(2)).encrypt(&[0.5]);
+        let frame = encode_ciphertext_v2(&ct);
+        let request = |shape: &[u64], frames: usize| {
+            let mut rx = AlignedBytes::new();
+            let words: Vec<u8> = shape.iter().flat_map(|w| w.to_le_bytes()).collect();
+            push_frame(&mut rx, &words);
+            for _ in 0..frames {
+                push_frame(&mut rx, frame.as_bytes());
+            }
+            rx
+        };
+
+        let honest = request(&[2, 1, 2], 3);
+        let groups = read_request(&ctx, honest.as_bytes()).expect("an honest request");
+        assert_eq!(groups.iter().map(Vec::len).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(groups[1][1].to_owned_ciphertext(), ct);
+
+        for (shape, frames, why) in [
+            (&[2, 1, 2][..], 4, "frames after the promised ciphertexts"),
+            (&[2, 1, 2, 0][..], 3, "shape frame has trailing words"),
+            (&[2, 1][..], 1, "shape frame is truncated"),
+            (&[2, 1, 2][..], 2, "request stream ended early"),
+            (&[][..], 0, "shape frame is empty"),
+        ] {
+            let bytes = request(shape, frames);
+            let refused = read_request(&ctx, bytes.as_bytes()).expect_err(why);
+            assert_eq!(
+                refused,
+                RequestError::Shape(why),
+                "{shape:?} + {frames} frames"
+            );
+        }
     }
 }

@@ -4,12 +4,12 @@
 //! in well under a second of a debug build. Every mutant — a changed length prefix, header
 //! byte, shape count, limb count or level word, a residue out of range,
 //! a cut at or near any frame boundary — must come back from
-//! `FrameCursor` + `ingest_ciphertext` as a typed refusal: no panic, and
-//! nothing allocated from a count the stream has not backed.
+//! `fxhenn::read_request` as a typed refusal: no panic, and nothing
+//! allocated from a count the stream has not backed.
 
-use fxhenn::ckks::wire::{encode_ciphertext_v2, AlignedBytes, CiphertextView};
+use fxhenn::ckks::wire::{encode_ciphertext_v2, AlignedBytes};
 use fxhenn::ckks::{CkksContext, CkksParams, Encryptor, KeyGenerator};
-use fxhenn::{ingest_ciphertext, push_frame, FrameCursor, FrameError, IngestError};
+use fxhenn::{push_frame, read_request, RequestError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,58 +17,6 @@ use std::sync::OnceLock;
 
 /// Input ciphertexts in the request.
 const CTS: usize = 7;
-
-/// Why a request was refused.
-#[derive(Debug)]
-#[allow(dead_code)] // Read through `Debug` in failure messages.
-enum Refused {
-    Frame(FrameError),
-    Ingest(IngestError),
-    Shape(&'static str),
-}
-
-/// Reads a request: a shape frame of little-endian words (the group
-/// count, then each group's ciphertext count), one v2 ciphertext frame
-/// per promised ciphertext, and nothing after. Counts drive loops, never
-/// allocations: a ciphertext is kept only once its frame has ingested.
-fn read_request<'a>(
-    ctx: &CkksContext,
-    bytes: &'a [u8],
-) -> Result<Vec<Vec<CiphertextView<'a>>>, Refused> {
-    let mut frames = FrameCursor::new(bytes);
-    let mut next = || match frames.next() {
-        Some(frame) => frame.map_err(Refused::Frame),
-        None => Err(Refused::Shape("request stream ended early")),
-    };
-    let shape = next()?;
-    if shape.len() % 8 != 0 {
-        return Err(Refused::Shape("shape frame is not whole words"));
-    }
-    let mut counts = shape
-        .chunks_exact(8)
-        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-    let groups = counts
-        .next()
-        .ok_or(Refused::Shape("shape frame is empty"))?;
-    let mut out = Vec::new();
-    for _ in 0..groups {
-        let len = counts
-            .next()
-            .ok_or(Refused::Shape("shape frame is truncated"))?;
-        let mut group = Vec::new();
-        for _ in 0..len {
-            group.push(ingest_ciphertext(ctx, next()?).map_err(Refused::Ingest)?);
-        }
-        out.push(group);
-    }
-    if counts.next().is_some() {
-        return Err(Refused::Shape("shape frame has trailing words"));
-    }
-    match frames.next() {
-        None => Ok(out),
-        Some(_) => Err(Refused::Shape("frames after the promised ciphertexts")),
-    }
-}
 
 /// The honest request and the byte offset of every frame in it.
 struct Request {
@@ -265,7 +213,7 @@ fn absurd_counts_allocate_nothing_and_are_refused() {
         let bytes = mutate(req, &Mutation::Shape(i, count));
         let refused =
             read_request(&req.ctx, bytes.as_bytes()).expect_err("more than the stream holds");
-        assert!(matches!(refused, Refused::Shape(_)), "{refused:?}");
+        assert!(matches!(refused, RequestError::Shape(_)), "{refused:?}");
     }
 }
 

@@ -177,7 +177,13 @@ impl BarrettReducer {
     #[inline]
     pub fn mul(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.q && b < self.q);
-        self.reduce_u128(a as u128 * b as u128)
+        if self.q >> 32 == 0 {
+            // Both factors are below 2^32: the product fits one word.
+            const LOW: u64 = 0xFFFF_FFFF;
+            self.reduce_u64((a & LOW) * (b & LOW))
+        } else {
+            self.reduce_u128(a as u128 * b as u128)
+        }
     }
 
     /// Reduces an arbitrary `u64` modulo `q` with the single-word
@@ -274,6 +280,25 @@ impl ShoupMul {
         let hi = ((x as u128 * self.w_shoup as u128) >> 64) as u64;
         x.wrapping_mul(self.w)
             .wrapping_sub(hi.wrapping_mul(self.q))
+    }
+
+    /// [`Self::mul_lazy`] in 32-bit words, for `q < 2^31` and `x < 2^32`:
+    /// the result lies in `[0, 2q)` and agrees with `x · w` modulo `q`,
+    /// though it may differ from `mul_lazy`'s by `q`.
+    ///
+    /// The 32-bit Shoup constant `⌊w·2^32/q⌋` is exactly `w_shoup >> 32`,
+    /// so no second table is needed. Every operand is masked to 32 bits,
+    /// which makes each product a 32×32→64 multiply (`pmuludq` on
+    /// baseline x86-64), not the full 64×64→128 one; the quotient error
+    /// is still below 2 because `x < 2^32`.
+    #[inline]
+    pub(crate) fn mul_lazy_narrow(&self, x: u64) -> u64 {
+        const LOW: u64 = 0xFFFF_FFFF;
+        debug_assert!(x <= LOW, "narrow lazy multiply takes x < 2^32, got {x}");
+        debug_assert!(self.q < 1 << 31, "narrow lazy multiply takes q < 2^31");
+        let x = x & LOW;
+        let hi = (x * (self.w_shoup >> 32)) >> 32;
+        (x * (self.w & LOW)).wrapping_sub(hi * (self.q & LOW))
     }
 }
 
@@ -508,6 +533,24 @@ mod tests {
                 let r = sm.mul_lazy(x);
                 assert!(r < 2 * q, "w={w} x={x}: lazy result {r} >= 2q");
                 assert_eq!(r % q, mul_mod(x % q, w, q), "w={w} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn shoup_lazy_narrow_stays_below_2q_at_the_range_edges() {
+        // The largest NTT primes (N = 8192) below 2^30 and 2^31, against
+        // the extremes of the lazy ranges and of x < 2^32.
+        for bits in [30, 31] {
+            let q = crate::prime::generate_ntt_primes(bits, 8192, 1)[0];
+            for w in [1u64, 999_983, q / 3, q - 1] {
+                let sm = ShoupMul::new(w, q);
+                let xs = [0u64, 1, q - 1, 2 * q - 1, 4 * q - 1, u64::from(u32::MAX)];
+                for x in xs.into_iter().filter(|&x| x <= u64::from(u32::MAX)) {
+                    let r = sm.mul_lazy_narrow(x);
+                    assert!(r < 2 * q, "q={q} w={w} x={x}: lazy result {r} >= 2q");
+                    assert_eq!(r % q, mul_mod(x % q, w, q), "q={q} w={w} x={x}");
+                }
             }
         }
     }

@@ -13,9 +13,16 @@
 //! — the inverse's last stage also multiplies by `N^{-1}` — so neither
 //! transform makes a second pass over the array.
 //!
-//! Every correction is a conditional subtraction whose condition is a
-//! coin flip per element; `csub` compiles it to a select, not a jump
-//! the branch predictor would miss half the time.
+//! The butterflies are generic over a lazy-multiply word. Below 2^30
+//! every lazy value is under `4q < 2^32`, so the `Narrow` word runs each
+//! Shoup product as a 32×32→64 multiply and each conditional subtraction
+//! through the borrow word, and the loops vectorise on baseline x86-64
+//! (SSE2 `pmuludq`): every forward stage and the inverse's last stage
+//! run narrow there. Wider moduli — the 45-bit special prime, 36- and
+//! 61-bit primes — and the inverse's interior stages run `Wide`:
+//! 64×64→128 products, which do not vectorise, with every correction a
+//! select rather than a jump the branch predictor would miss half the
+//! time. Both words produce the same canonical outputs.
 //!
 //! `log2(N)` rounds of `N/2` butterflies each give the latency model of
 //! paper Eq. (4): `LAT_NTT = log2(N) · N / (2 · nc_NTT)` cycles for
@@ -160,6 +167,14 @@ impl NttTable {
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
         transform_counters().forward.inc();
+        if self.q < NARROW_BOUND {
+            self.forward_in::<Narrow>(a);
+        } else {
+            self.forward_in::<Wide>(a);
+        }
+    }
+
+    fn forward_in<W: Word>(&self, a: &mut [u64]) {
         let q = self.q;
         let two_q = 2 * q;
         let (mut m, mut t) = (1, self.n / 2);
@@ -167,8 +182,8 @@ impl NttTable {
             for (block, w) in a.chunks_exact_mut(2 * t).zip(&self.fwd[m..2 * m]) {
                 let (lo, hi) = block.split_at_mut(t);
                 for (x, y) in lo.iter_mut().zip(hi) {
-                    let u = csub(*x, two_q); // < 2q
-                    let v = w.mul_lazy(*y); // < 2q
+                    let u = W::csub(*x, two_q); // < 2q
+                    let v = W::mul_lazy(w, *y); // < 2q
                     *x = u + v; // < 4q
                     *y = u + two_q - v; // < 4q
                 }
@@ -177,10 +192,10 @@ impl NttTable {
             t >>= 1;
         }
         for (pair, w) in a.chunks_exact_mut(2).zip(&self.fwd[m..]) {
-            let u = csub(pair[0], two_q);
-            let v = w.mul_lazy(pair[1]);
-            pair[0] = csub(csub(u + v, two_q), q);
-            pair[1] = csub(csub(u + two_q - v, two_q), q);
+            let u = W::csub(pair[0], two_q);
+            let v = W::mul_lazy(w, pair[1]);
+            pair[0] = W::csub(W::csub(u + v, two_q), q);
+            pair[1] = W::csub(W::csub(u + two_q - v, two_q), q);
         }
     }
 
@@ -198,6 +213,18 @@ impl NttTable {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal ring degree");
         transform_counters().inverse.inc();
+        if self.q < NARROW_BOUND {
+            self.inverse_in::<Narrow>(a);
+        } else {
+            self.inverse_in::<Wide>(a);
+        }
+    }
+
+    /// `W` words in the last stage only, whose two products per butterfly
+    /// gain most from narrow lanes. The interior stages stay [`Wide`]:
+    /// in narrow SSE2 lanes they measured slower than in wide scalar
+    /// code (DESIGN.md §15, "Word width").
+    fn inverse_in<W: Word>(&self, a: &mut [u64]) {
         let q = self.q;
         let two_q = 2 * q;
         let (mut h, mut t) = (self.n / 2, 1);
@@ -206,8 +233,8 @@ impl NttTable {
                 let (lo, hi) = block.split_at_mut(t);
                 for (x, y) in lo.iter_mut().zip(hi) {
                     let (u, v) = (*x, *y);
-                    *x = csub(u + v, two_q); // < 2q
-                    *y = w.mul_lazy(u + two_q - v); // < 2q
+                    *x = Wide::csub(u + v, two_q); // < 2q
+                    *y = Wide::mul_lazy(w, u + two_q - v); // < 2q
                 }
             }
             h >>= 1;
@@ -216,20 +243,67 @@ impl NttTable {
         let (lo, hi) = a.split_at_mut(t);
         for (x, y) in lo.iter_mut().zip(hi) {
             let (u, v) = (*x, *y);
-            *x = csub(self.n_inv.mul_lazy(u + v), q);
-            *y = csub(self.n_inv_w.mul_lazy(u + two_q - v), q);
+            *x = W::csub(W::mul_lazy(&self.n_inv, u + v), q);
+            *y = W::csub(W::mul_lazy(&self.n_inv_w, u + two_q - v), q);
         }
     }
 }
 
-/// `x − m` when `x ≥ m`, else `x`, as a select rather than a branch.
-/// Whether a lazy residue crosses `m` is a coin flip per element, and the
-/// NTT loops do not vectorise, so a branch here mispredicts about half the
-/// time. Only for such loops: where LLVM vectorises (the pointwise
-/// kernels, `poly::lift_limb`), a plain `if` is as fast or faster.
-#[inline(always)]
-fn csub(x: u64, m: u64) -> u64 {
-    select_unpredictable(x >= m, x.wrapping_sub(m), x)
+/// Moduli below `NARROW_BOUND` run the butterflies in [`Narrow`] words:
+/// every lazy value is below `4q < 2^32`.
+const NARROW_BOUND: u64 = 1 << 30;
+
+/// The lazy multiply and the conditional subtraction a butterfly body is
+/// generic over, so each direction has one body and two word widths.
+trait Word {
+    /// `x · w mod q` in `[0, 2q)`.
+    fn mul_lazy(w: &ShoupMul, x: u64) -> u64;
+    /// `x − m` when `x ≥ m`, else `x`.
+    fn csub(x: u64, m: u64) -> u64;
+}
+
+/// 64×64→128 Shoup products; any modulus below 2^62.
+struct Wide;
+
+/// 32×32→64 Shoup products for `q < 2^30` ([`ShoupMul::mul_lazy_narrow`]).
+/// Products of masked words and a borrow-word subtraction are all
+/// baseline SSE2 lane operations, so the butterfly loops vectorise.
+struct Narrow;
+
+impl Word for Wide {
+    #[inline(always)]
+    fn mul_lazy(w: &ShoupMul, x: u64) -> u64 {
+        w.mul_lazy(x)
+    }
+
+    /// A select rather than a branch: whether a lazy residue crosses `m`
+    /// is a coin flip per element, and these 64×64→128 loops do not
+    /// vectorise, so a branch here mispredicts about half the time. Only
+    /// for such loops: where LLVM vectorises (the pointwise kernels,
+    /// `poly::lift_limb`), a plain `if` is as fast or faster.
+    #[inline(always)]
+    fn csub(x: u64, m: u64) -> u64 {
+        select_unpredictable(x >= m, x.wrapping_sub(m), x)
+    }
+}
+
+impl Word for Narrow {
+    #[inline(always)]
+    fn mul_lazy(w: &ShoupMul, x: u64) -> u64 {
+        w.mul_lazy_narrow(x)
+    }
+
+    /// Branch-free through the borrow of `x − m`: with both below 2^32,
+    /// the high word of the difference is all ones exactly when `x < m`,
+    /// and `m` fits in the low word, so `m & (d >> 32)` is `m` or 0 — a
+    /// subtract, a shift, a mask and an add, all SSE2 lane operations
+    /// (SSE2 has no 64-bit compare).
+    #[inline(always)]
+    fn csub(x: u64, m: u64) -> u64 {
+        debug_assert!(x >> 32 == 0 && m >> 32 == 0, "narrow csub of {x} by {m}");
+        let d = x.wrapping_sub(m);
+        d.wrapping_add(m & (d >> 32))
+    }
 }
 
 /// Reverses the low `bits` bits of `x`.
@@ -325,20 +399,23 @@ mod tests {
     fn forward_evaluates_at_odd_powers_of_psi_in_bit_reversed_order() {
         // The oracle shares no code with the butterflies: slot i of the
         // transform is the polynomial evaluated directly, in O(n²), at
-        // ψ^{2·brv(i)+1}. Widths span the lazy ranges up to the 2^62 bound.
+        // ψ^{2·brv(i)+1}. Widths span the lazy ranges up to the 2^62 bound
+        // and both sides of the narrow words' 2^30; at n = 8192 (the
+        // paper's N) every 61st slot and the last are evaluated.
         let mut rng = StdRng::seed_from_u64(11);
-        for bits in [30u32, 45, 61] {
-            for n in [2usize, 4, 8, 16, 64] {
+        for bits in [30u32, 31, 45, 61] {
+            for n in [2usize, 4, 8, 16, 64, 1024, 8192] {
                 let q = generate_ntt_primes(bits, n, 1)[0];
                 let table = NttTable::new(n, q);
                 let log_n = n.trailing_zeros();
                 let original = random_poly(n, q, &mut rng);
                 let mut a = original.clone();
                 table.forward(&mut a);
-                for (i, &got) in a.iter().enumerate() {
+                let stride = if n > 1024 { 61 } else { 1 };
+                for i in (0..n).step_by(stride).chain([n - 1]) {
                     let e = 2 * bit_reverse(i as u64, log_n) + 1;
                     let want = eval_at(&original, pow_mod(table.root(), e, q), q);
-                    assert_eq!(got, want, "forward n={n} q={q} slot {i}");
+                    assert_eq!(a[i], want, "forward n={n} q={q} slot {i}");
                 }
                 table.inverse(&mut a);
                 assert_eq!(a, original, "inverse n={n} q={q}");
@@ -347,12 +424,29 @@ mod tests {
     }
 
     #[test]
+    fn worst_case_lazy_inputs_at_the_width_boundary() {
+        // The narrow word masks its operands to 32 bits: a lazy value that
+        // escaped [0, 4q) would be truncated silently in release and trip
+        // the word's debug assertions in a debug build. The largest NTT
+        // primes below 2^30 and 2^31 sit on either side of the bound.
+        let n = 8192;
+        let [narrow, wide] = [30, 31].map(|bits| generate_ntt_primes(bits, n, 1)[0]);
+        assert!(narrow < NARROW_BOUND && wide >= NARROW_BOUND);
+        for q in [narrow, wide] {
+            worst_case_lazy_inputs(n, q);
+        }
+    }
+
+    #[test]
     fn worst_case_lazy_inputs_at_61_bits() {
+        let n = 4096;
+        worst_case_lazy_inputs(n, generate_ntt_primes(61, n, 1)[0]);
+    }
+
+    fn worst_case_lazy_inputs(n: usize, q: u64) {
         // All q − 1 and alternating 0 / q − 1 push every lazy intermediate
         // to the top of its range; a debug build checks each sum for
         // overflow on the way.
-        let n = 4096;
-        let q = generate_ntt_primes(61, n, 1)[0];
         let table = NttTable::new(n, q);
         let all_max = vec![q - 1; n];
         let alternating: Vec<u64> = (0..n).map(|i| if i % 2 == 0 { 0 } else { q - 1 }).collect();

@@ -347,15 +347,72 @@ pub fn sub_from_and_scale(r: &mut [u64], x: &[u64], inv: &ShoupMul, q: u64) {
     );
 }
 
-/// Slots per block of [`dot2_lazy`]: both `u128` accumulator blocks
-/// (8 KiB together) stay in L1 while the terms stream past.
+/// Slots per block of [`dot2_lazy`]: both accumulator blocks (8 KiB
+/// together at `u128`) stay in L1 while the terms stream past.
 const DOT_BLOCK: usize = 256;
+
+/// An unreduced accumulator of [`dot2_lazy`]: `u64` for moduli whose
+/// squares leave room for a fold (products are then 32×32→64, which
+/// vectorise), `u128` for every other supported modulus.
+trait DotAcc: Copy + From<u64> {
+    /// The largest value the accumulator holds.
+    const MAX: u128;
+    /// `self + d·k`, for `d, k < q`.
+    fn mac(self, d: u64, k: u64) -> Self;
+    /// The canonical residue of `self` modulo `red`'s modulus.
+    fn reduce(self, red: &BarrettReducer) -> u64;
+}
+
+impl DotAcc for u64 {
+    const MAX: u128 = u64::MAX as u128;
+
+    #[inline(always)]
+    fn mac(self, d: u64, k: u64) -> Self {
+        // Both factors are below q < 2^32: masking tells the compiler so,
+        // and the product is a 32×32→64 multiply.
+        const LOW: u64 = 0xFFFF_FFFF;
+        self + (d & LOW) * (k & LOW)
+    }
+
+    #[inline(always)]
+    fn reduce(self, red: &BarrettReducer) -> u64 {
+        red.reduce_u64(self)
+    }
+}
+
+impl DotAcc for u128 {
+    const MAX: u128 = u128::MAX;
+
+    #[inline(always)]
+    fn mac(self, d: u64, k: u64) -> Self {
+        self + u128::from(d) * u128::from(k)
+    }
+
+    #[inline(always)]
+    fn reduce(self, red: &BarrettReducer) -> u64 {
+        red.reduce_u128(self)
+    }
+}
+
+/// Terms an `A` accumulator absorbs before it must be folded back below
+/// `q`: `⌊A::MAX / (q−1)²⌋`. A fold leaves a value below `q`, which
+/// counts as one term, so a cap below 2 could never make progress.
+fn dot_cap<A: DotAcc>(q: u64) -> usize {
+    let qm1 = u128::from(q - 1);
+    usize::try_from(A::MAX / (qm1 * qm1)).unwrap_or(usize::MAX)
+}
+
+/// Whether [`dot2_lazy`] accumulates in `u64` for modulus `q`: the
+/// factors fit 32 bits and a folded accumulator still takes a product.
+fn narrow_dot(q: u64) -> bool {
+    q <= 1 << 32 && dot_cap::<u64>(q) >= 2
+}
 
 /// One term of [`dot2_lazy`] over one block: `acc0 += d·k0`, `acc1 += d·k1`.
 #[inline]
-fn mac2_block(
-    acc0: &mut [u128],
-    acc1: &mut [u128],
+fn mac2_block<A: DotAcc>(
+    acc0: &mut [A],
+    acc1: &mut [A],
     digits: impl Iterator<Item = u64>,
     k0: &[u64],
     k1: &[u64],
@@ -365,9 +422,8 @@ fn mac2_block(
         .zip(acc1.iter_mut())
         .zip(digits.zip(k0.iter().zip(k1)))
     {
-        let d = u128::from(d);
-        *x0 += d * u128::from(k0);
-        *x1 += d * u128::from(k1);
+        *x0 = x0.mac(d, k0);
+        *x1 = x1.mac(d, k1);
     }
 }
 
@@ -376,12 +432,13 @@ fn mac2_block(
 /// modulo `q`, where `π` is `perm` (the identity when `None`) and every
 /// input word is reduced below `q`.
 ///
-/// Products accumulate unreduced in `u128` and each slot pays **one**
-/// Barrett reduction per output; an accumulator is folded back below
-/// `q` just before `count·(q−1)²` could overflow, so any term count is
-/// safe at any supported modulus. The result is the canonical residue
-/// of the exact sum — bit-identical to an eager multiply-reduce-add
-/// loop.
+/// Products accumulate unreduced — in `u64` when `q < 2^32` and
+/// `(q−1)²` leaves room for a fold (at least 16 terms at 30 bits), in
+/// `u128` otherwise — and each slot pays **one** Barrett reduction per
+/// output; an accumulator is folded back below `q` just before
+/// `count·(q−1)²` could overflow, so any term count is safe at any
+/// supported modulus. The result is the canonical residue of the exact
+/// sum — bit-identical to an eager multiply-reduce-add loop.
 ///
 /// # Panics
 ///
@@ -411,23 +468,38 @@ pub fn dot2_lazy(
         perm.is_none_or(|p| p.len() == n),
         "permutation length mismatch"
     );
-    // Terms an accumulator can absorb before it must be folded: at least
-    // 16 for any modulus below 2^62.
-    let qm1 = u128::from(red.modulus() - 1);
-    let cap = usize::try_from(u128::MAX / (qm1 * qm1)).unwrap_or(usize::MAX);
+    if narrow_dot(red.modulus()) {
+        dot2_blocks::<u64>(a, perm, b0, b1, red, out0, out1);
+    } else {
+        dot2_blocks::<u128>(a, perm, b0, b1, red, out0, out1);
+    }
+}
 
-    let mut acc0 = [0u128; DOT_BLOCK];
-    let mut acc1 = [0u128; DOT_BLOCK];
+fn dot2_blocks<A: DotAcc>(
+    a: &[&[u64]],
+    perm: Option<&[u32]>,
+    b0: &[&[u64]],
+    b1: &[&[u64]],
+    red: &BarrettReducer,
+    out0: &mut [u64],
+    out1: &mut [u64],
+) {
+    let n = out0.len();
+    // Terms an accumulator can absorb before it must be folded: at least
+    // 16 for `u128` at any modulus below 2^62 and for `u64` at 30 bits.
+    let cap = dot_cap::<A>(red.modulus());
+    let mut acc0 = [A::from(0); DOT_BLOCK];
+    let mut acc1 = [A::from(0); DOT_BLOCK];
     for base in (0..n).step_by(DOT_BLOCK) {
         let block = base..n.min(base + DOT_BLOCK);
         let (acc0, acc1) = (&mut acc0[..block.len()], &mut acc1[..block.len()]);
-        acc0.fill(0);
-        acc1.fill(0);
+        acc0.fill(A::from(0));
+        acc1.fill(A::from(0));
         let mut pending = 0usize;
         for ((aj, k0), k1) in a.iter().zip(b0).zip(b1) {
             if pending == cap {
                 for x in acc0.iter_mut().chain(acc1.iter_mut()) {
-                    *x = u128::from(red.reduce_u128(*x));
+                    *x = A::from(x.reduce(red));
                 }
                 pending = 1;
             }
@@ -446,8 +518,8 @@ pub fn dot2_lazy(
             .zip(&mut out1[block])
             .zip(acc0.iter().zip(acc1.iter()))
         {
-            *o0 = red.reduce_u128(*x0);
-            *o1 = red.reduce_u128(*x1);
+            *o0 = x0.reduce(red);
+            *o1 = x1.reduce(red);
         }
     }
 }
@@ -962,6 +1034,7 @@ impl RnsPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modops::mul_mod;
     use crate::ntt::negacyclic_mul_naive;
     use crate::par::{with_dispatch_threshold, with_parallelism, Parallelism};
     use crate::prime::generate_ntt_primes;
@@ -1182,10 +1255,15 @@ mod tests {
 
     #[test]
     fn lazy_dot_folds_before_overflow_and_matches_eager_mac() {
-        // 62-bit modulus: an accumulator holds only 16 products, so 100
-        // terms force several folds; the gathered variant reads `a`
-        // through a reversal.
-        let q = 4611686018427387847u64;
+        // 62-bit modulus: a u128 accumulator holds only 16 products, so
+        // 100 terms force several folds; at 30 bits a u64 one holds 16
+        // too. The gathered variant reads `a` through a reversal.
+        for q in [4611686018427387847u64, generate_ntt_primes(30, 64, 1)[0]] {
+            lazy_dot_matches_eager_mac_at(q);
+        }
+    }
+
+    fn lazy_dot_matches_eager_mac_at(q: u64) {
         let red = BarrettReducer::new(q);
         let (n, terms) = (DOT_BLOCK + 40, 100);
         let mut rng = StdRng::seed_from_u64(16);
@@ -1223,9 +1301,56 @@ mod tests {
             for k in 0..n {
                 let src = perm.map_or(k, |p| p[k] as usize);
                 let eager = |b: &[Vec<u64>]| {
-                    (0..terms).fold(0, |acc, j| add_mod(acc, red.mul(a[j][src], b[j][k]), q))
+                    (0..terms).fold(0, |acc, j| add_mod(acc, mul_mod(a[j][src], b[j][k], q), q))
                 };
                 assert_eq!((out0[k], out1[k]), (eager(&b0), eager(&b1)), "slot {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_dot_matches_eager_mac_at_every_fold_boundary() {
+        // Every input at q − 1 makes every product (q − 1)², so an
+        // accumulator reaches exactly cap·(q − 1)² before its fold: one
+        // term more than the cap allows would overflow, which a debug
+        // build reports. 30 and 31 bits accumulate in u64 (caps 16 and
+        // 4), 45 and 62 bits in u128; the 45-bit cap (about 2^38 terms)
+        // is out of reach, so it runs the term counts a key switch uses.
+        let widths = [
+            generate_ntt_primes(30, 64, 1)[0],
+            generate_ntt_primes(31, 64, 1)[0],
+            generate_ntt_primes(45, 64, 1)[0],
+            4611686018427387847,
+        ];
+        let n = DOT_BLOCK + 3;
+        let reversal: Vec<u32> = (0..n as u32).rev().collect();
+        for q in widths {
+            let red = BarrettReducer::new(q);
+            let cap = if narrow_dot(q) {
+                dot_cap::<u64>(q)
+            } else {
+                dot_cap::<u128>(q)
+            };
+            assert_eq!(narrow_dot(q), q < 1 << 32, "q={q}");
+            let counts: Vec<usize> = [1, cap - 1, cap, cap + 1, 3 * cap, 7]
+                .into_iter()
+                .filter(|&c| c <= 64)
+                .collect();
+            assert!(counts.len() >= 2, "q={q}: cap {cap}");
+            for terms in counts {
+                let limb = vec![q - 1; n];
+                let column = vec![limb.as_slice(); terms];
+                // The eager reference: multiply, reduce, add, per term.
+                let eager = (0..terms).fold(0, |acc, _| add_mod(acc, mul_mod(q - 1, q - 1, q), q));
+                for perm in [None, Some(&reversal[..])] {
+                    let (mut out0, mut out1) = (vec![0u64; n], vec![0u64; n]);
+                    dot2_lazy(&column, perm, &column, &column, &red, &mut out0, &mut out1);
+                    assert!(
+                        out0.iter().chain(&out1).all(|&x| x == eager),
+                        "q={q} terms={terms} permuted={}",
+                        perm.is_some()
+                    );
+                }
             }
         }
     }
