@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release -p fxhenn-bench --bin keyswitch_tradeoff`
 
-use fxhenn::ckks::serialize::encode_relin_key;
+use fxhenn::ckks::wire::encoded_len_relin_key_v2;
 use fxhenn::ckks::{CkksContext, CkksParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
 use fxhenn_bench::header;
 use rand::rngs::StdRng;
@@ -37,7 +37,7 @@ fn main() {
         let dec = Decryptor::new(&ctx, sk);
         let mut ev = Evaluator::new(&ctx);
 
-        let key_kb = encode_relin_key(&rk).len() as f64 / 1024.0;
+        let key_kb = encoded_len_relin_key_v2(&rk) as f64 / 1024.0;
 
         let values = [1.5f64, -2.0, 3.0, 0.5];
         let ct = enc.encrypt(&values);

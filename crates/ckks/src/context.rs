@@ -13,7 +13,7 @@ use crate::params::CkksParams;
 use fxhenn_math::bigint::BigUint;
 use fxhenn_math::modops::{inv_mod, mul_mod, pow_mod, BarrettReducer};
 use fxhenn_math::ntt::{bit_reverse, NttTable};
-use fxhenn_math::poly::RnsPoly;
+use fxhenn_math::poly::{Domain, PolyLimbs, RnsPoly};
 use fxhenn_math::prime::NttPrimeGenerator;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -425,28 +425,7 @@ impl CkksContext {
     ///
     /// Returns [`EvalError::CorruptCiphertext`] naming the failed check.
     pub fn validate_ciphertext(&self, ct: &crate::cipher::Ciphertext) -> Result<(), EvalError> {
-        let level = ct.level();
-        if level < 1 || level > self.max_level() {
-            return Err(EvalError::CorruptCiphertext {
-                what: "level outside the context's modulus chain",
-            });
-        }
-        let moduli = self.moduli_at(level);
-        for poly in ct.polys() {
-            if poly.degree() != self.degree() {
-                return Err(EvalError::CorruptCiphertext {
-                    what: "polynomial degree differs from the context",
-                });
-            }
-            for (i, &q) in moduli.iter().enumerate() {
-                if poly.component(i).iter().any(|&w| w >= q) {
-                    return Err(EvalError::CorruptCiphertext {
-                        what: "residue word not reduced modulo its prime",
-                    });
-                }
-            }
-        }
-        Ok(())
+        self.check_ciphertext(ct.level(), ct.polys())
     }
 
     /// The borrowed-view twin of
@@ -462,28 +441,62 @@ impl CkksContext {
         &self,
         ct: &crate::wire::CiphertextView<'_>,
     ) -> Result<(), EvalError> {
-        let level = ct.level();
+        self.check_ciphertext(ct.level(), (0..ct.size()).map(|p| ct.poly(p)))
+    }
+
+    fn check_ciphertext<P: PolyLimbs>(
+        &self,
+        level: usize,
+        polys: impl IntoIterator<Item = P>,
+    ) -> Result<(), EvalError> {
         if level < 1 || level > self.max_level() {
             return Err(EvalError::CorruptCiphertext {
                 what: "level outside the context's modulus chain",
             });
         }
-        if ct.degree() != self.degree() {
-            return Err(EvalError::CorruptCiphertext {
-                what: "polynomial degree differs from the context",
-            });
-        }
         let moduli = self.moduli_at(level);
-        for p in 0..ct.size() {
-            let poly = ct.poly(p);
-            for (i, &q) in moduli.iter().enumerate() {
-                use fxhenn_math::PolyLimbs;
-                if poly.limb(i).iter().any(|&w| w >= q) {
-                    return Err(EvalError::CorruptCiphertext {
-                        what: "residue word not reduced modulo its prime",
-                    });
-                }
-            }
+        for poly in polys {
+            self.check_poly(&poly, moduli)
+                .map_err(|what| EvalError::CorruptCiphertext { what })?;
+        }
+        Ok(())
+    }
+
+    /// One decoded polynomial against the primes it should be reduced
+    /// by: the context's degree, NTT form, one limb per prime, every
+    /// residue word below its prime.
+    fn check_poly(&self, poly: &impl PolyLimbs, moduli: &[u64]) -> Result<(), &'static str> {
+        if poly.degree() != self.degree() {
+            return Err("polynomial degree differs from the context");
+        }
+        if poly.domain() != Domain::Ntt {
+            return Err("polynomial not in NTT form");
+        }
+        if poly.level_count() != moduli.len() {
+            return Err("limb count differs from its basis");
+        }
+        let reduced = |(i, &q): (usize, &u64)| poly.limb(i).iter().all(|&w| w < q);
+        if !moduli.iter().enumerate().all(reduced) {
+            return Err("residue word not reduced modulo its prime");
+        }
+        Ok(())
+    }
+
+    /// Checks that a (possibly deserialized) public key is semantically
+    /// valid for this context: both polynomials at the context's degree,
+    /// over the top level's primes, in NTT form, with every residue word
+    /// reduced modulo its prime. Encryption reads the key at exactly that
+    /// shape, so a key that passes cannot make it panic or compute
+    /// modulo a word `>= q`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::CorruptKeyMaterial`] naming the failed check.
+    pub fn validate_public_key(&self, pk: &crate::keys::PublicKey) -> Result<(), EvalError> {
+        let moduli = self.moduli_at(self.max_level());
+        for poly in [&pk.b, &pk.a] {
+            self.check_poly(poly, moduli)
+                .map_err(|what| EvalError::CorruptKeyMaterial { what })?;
         }
         Ok(())
     }
@@ -518,12 +531,26 @@ impl CkksContext {
         Ok(())
     }
 
+    fn check_key_switch<P: PolyLimbs>(
+        &self,
+        digits: usize,
+        limbs: usize,
+        polys: impl IntoIterator<Item = P>,
+    ) -> Result<(), EvalError> {
+        let ext = self.key_basis(digits, limbs)?;
+        for poly in polys {
+            self.check_poly(&poly, &ext)
+                .map_err(|what| EvalError::CorruptKeyMaterial { what })?;
+        }
+        Ok(())
+    }
+
     /// Checks that a (possibly deserialized) key-switching key is
     /// semantically valid for this context: a level `1 ≤ l ≤ L` (its
     /// limbs less the special primes), `active_digits(l)` digits, every
-    /// digit over the level-`l` extended basis at the context's degree,
-    /// and every residue word reduced modulo its prime. The same
-    /// transport-corruption gap
+    /// digit in NTT form over the level-`l` extended basis at the
+    /// context's degree, and every residue word reduced modulo its
+    /// prime. The same transport-corruption gap
     /// [`validate_ciphertext`](Self::validate_ciphertext) closes for
     /// ciphertexts, closed for key material.
     ///
@@ -534,29 +561,8 @@ impl CkksContext {
         &self,
         ksk: &crate::keys::KeySwitchKey,
     ) -> Result<(), EvalError> {
-        let ext = self.key_basis(ksk.digit_count(), ksk.limb_count())?;
-        for (b, a) in &ksk.digits {
-            for poly in [b, a] {
-                if poly.degree() != self.degree() {
-                    return Err(EvalError::CorruptKeyMaterial {
-                        what: "polynomial degree differs from the context",
-                    });
-                }
-                if poly.level_count() != ext.len() {
-                    return Err(EvalError::CorruptKeyMaterial {
-                        what: "digit polynomials differ in width",
-                    });
-                }
-                for (i, &q) in ext.iter().enumerate() {
-                    if poly.component(i).iter().any(|&w| w >= q) {
-                        return Err(EvalError::CorruptKeyMaterial {
-                            what: "residue word not reduced modulo its prime",
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
+        let polys = ksk.digits.iter().flat_map(|(b, a)| [b, a]);
+        self.check_key_switch(ksk.digit_count(), ksk.limb_count(), polys)
     }
 
     /// Validates a relinearization key (see
@@ -596,26 +602,11 @@ impl CkksContext {
     ///
     /// Returns [`EvalError::CorruptKeyMaterial`] naming the failed check.
     pub fn validate_key_switch_ref(&self, ksk: &crate::wire::KskRef<'_>) -> Result<(), EvalError> {
-        use fxhenn_math::PolyLimbs;
-        let ext = self.key_basis(ksk.digit_count(), ksk.level_count())?;
-        for j in 0..ksk.digit_count() {
+        let polys = (0..ksk.digit_count()).flat_map(|j| {
             let (b, a) = ksk.digit(j);
-            for poly in [&b, &a] {
-                if poly.degree() != self.degree() {
-                    return Err(EvalError::CorruptKeyMaterial {
-                        what: "polynomial degree differs from the context",
-                    });
-                }
-                for (i, &q) in ext.iter().enumerate() {
-                    if poly.limb(i).iter().any(|&w| w >= q) {
-                        return Err(EvalError::CorruptKeyMaterial {
-                            what: "residue word not reduced modulo its prime",
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
+            [b, a]
+        });
+        self.check_key_switch(ksk.digit_count(), ksk.level_count(), polys)
     }
 
     /// Validates a relinearization-key view in place (see
@@ -864,6 +855,67 @@ mod tests {
         let t = ctx.extended_tables_at(2);
         assert_eq!(t.len(), 3);
         assert_eq!(t[2].modulus(), ctx.special_modulus());
+    }
+
+    #[test]
+    fn key_material_range_checks_catch_out_of_range_residues() {
+        use crate::keys::KeyGenerator;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let ctx = toy();
+        let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(10));
+        let pk = kg.public_key();
+        let rk = kg.relin_key();
+        ctx.validate_public_key(&pk).expect("fresh keys are valid");
+        ctx.validate_relin_key(&rk).expect("fresh keys are valid");
+        ctx.validate_galois_keys(&kg.galois_keys(&[1, 2]))
+            .expect("fresh keys are valid");
+
+        // One residue word past its modulus.
+        let mut corrupt = rk.clone();
+        let (b, _) = &mut corrupt.0.digits[0];
+        b.component_mut(0)[0] = u64::MAX;
+        let err = ctx.validate_relin_key(&corrupt).unwrap_err();
+        assert!(err.to_string().contains("not reduced"), "{err}");
+
+        let mut corrupt = pk.clone();
+        corrupt.a.component_mut(1)[7] = ctx.coeff_moduli()[1];
+        let err = ctx.validate_public_key(&corrupt).unwrap_err();
+        assert!(err.to_string().contains("not reduced"), "{err}");
+    }
+
+    #[test]
+    fn keys_of_another_shape_are_refused() {
+        use crate::keys::KeyGenerator;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let ctx = toy();
+        let key_of = |params| {
+            let other = CkksContext::new(params);
+            KeyGenerator::new(&other, StdRng::seed_from_u64(11)).public_key()
+        };
+        let as_coeff = |p: &RnsPoly| {
+            let limbs = (0..p.level_count()).map(|i| p.component(i).to_vec());
+            RnsPoly::from_residues(limbs.collect(), Domain::Coeff)
+        };
+        let wide = key_of(CkksParams::new(2048, 3, 30, 45).unwrap());
+        let short = key_of(CkksParams::insecure_toy(2));
+        let mut coeff = key_of(CkksParams::insecure_toy(3));
+        ctx.validate_public_key(&coeff).expect("this context's shape");
+        coeff.b = as_coeff(&coeff.b);
+        for (pk, why) in [(wide, "degree"), (short, "limb count"), (coeff, "NTT")] {
+            let err = ctx.validate_public_key(&pk).unwrap_err();
+            assert!(err.to_string().contains(why), "{err}");
+        }
+
+        // Key switching reads key words as NTT values whatever the label
+        // says; a key labelled otherwise is refused all the same.
+        let mut rk = KeyGenerator::new(&ctx, StdRng::seed_from_u64(12)).relin_key();
+        rk.0.digits[0].1 = as_coeff(&rk.0.digits[0].1);
+        let err = ctx.validate_relin_key(&rk).unwrap_err();
+        assert!(err.to_string().contains("NTT"), "{err}");
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod matmul;
 pub mod noise;
 pub mod params;
 pub mod security;
-pub mod serialize;
 pub mod sgn;
 pub mod telemetry;
 pub mod trace;
@@ -72,12 +71,6 @@ pub use keys::{
 };
 pub use noise::{NoiseEstimate, NoiseModel};
 pub use params::{CkksParams, ParamsError};
-pub use serialize::{
-    content_checksum, decode_galois_keys_checksummed, decode_public_key_checksummed,
-    decode_relin_key_checksummed, encode_galois_keys_checksummed,
-    encode_public_key_checksummed, encode_relin_key_checksummed, open_checksummed,
-    seal_checksummed, DecodeError,
-};
 pub use security::{estimate_security, SecurityLevel};
 pub use telemetry::{
     register_he_metrics, register_noise_metrics, register_wire_metrics, OpSpanLog,
@@ -92,9 +85,11 @@ pub use trace::{
     OP_REGISTRY,
 };
 pub use wire::{
-    copy_fallback_forced, decode_ciphertext_v2, decode_galois_keys_v2, decode_plaintext_v2,
-    decode_public_key_v2, decode_relin_key_v2, encode_ciphertext_v2, encode_galois_keys_v2,
-    encode_plaintext_v2, encode_public_key_v2, encode_relin_key_v2, seal_checksummed_v2,
-    AlignedBytes, CiphertextView, GaloisKeysView, KskRef, LimbsRef, MappedFrame, PlaintextView,
-    PublicKeyView, RelinKeyView,
+    content_checksum, copy_fallback_forced, decode_ciphertext_v2, decode_galois_keys_checksummed,
+    decode_galois_keys_v2, decode_plaintext_v2, decode_public_key_checksummed,
+    decode_public_key_v2, decode_relin_key_checksummed, decode_relin_key_v2,
+    encode_ciphertext_v2, encode_galois_keys_v2, encode_plaintext_v2, encode_public_key_v2,
+    encode_relin_key_v2, open_checksummed, seal_checksummed_v2, AlignedBytes, CiphertextView,
+    DecodeError, GaloisKeysView, KskRef, LimbsRef, MappedFrame, PlaintextView, PublicKeyView,
+    RelinKeyView,
 };

@@ -57,8 +57,10 @@ pub fn register_he_metrics() {
 
 /// Wire-path metric handles: byte volumes through encode/decode, the
 /// zero-copy vs fallback-copy decode split, and mmap'd key-frame state.
-/// `fxhenn_wire_copied_bytes_total` is the counter `bench_wire` uses to
-/// prove the v2 path copies nothing on aligned input.
+/// Every `encode_*_v2` adds its frame length to
+/// `fxhenn_wire_encoded_bytes_total`; `fxhenn_wire_copied_bytes_total`
+/// moves only when a decode falls back to copying a frame's body, which
+/// `tests/wire_zero_copy.rs` holds at zero for aligned input.
 pub(crate) struct WireMetrics {
     pub encoded_bytes: Arc<Counter>,
     pub decoded_bytes: Arc<Counter>,

@@ -1,12 +1,12 @@
-//! Zero-copy v2 wire layout: aligned frames, borrowed views and mmap'd
-//! key frames.
+//! Wire format for ciphertexts, plaintexts and key material: aligned
+//! frames, borrowed views and mmap'd key frames.
 //!
-//! The v1 format ([`crate::serialize`]) decodes by copying every residue
-//! word into freshly allocated `Vec`s — at serve scale that memcpy and
-//! allocator traffic dominates the microsecond kernels. The v2 layout
-//! fixes the root cause: an 8-byte header (instead of v1's 6 bytes)
-//! keeps every subsequent field on an 8-byte boundary, and residue words
-//! are stored limb-major in evaluation order — exactly the layout
+//! In the paper's deployment model the client encrypts locally and ships
+//! ciphertexts (and one-time evaluation keys) to the accelerator host, so
+//! the byte format is part of the system. The layout makes the wire image
+//! *be* the in-memory image: an 8-byte header keeps every subsequent
+//! field on an 8-byte boundary, and residue words are stored limb-major
+//! in evaluation order — exactly the layout
 //! [`fxhenn_math::BorrowedRnsPoly`] reads. Decode then *validates in
 //! place* over the receive buffer and hands out views; no residue word
 //! is copied unless the buffer is misaligned (or the host is
@@ -18,10 +18,14 @@
 //! ```text
 //! offset 0..4   magic "FXHE"
 //! offset 4      version = 2
-//! offset 5      type tag (same values as v1)
+//! offset 5      type tag
 //! offset 6..8   reserved, must be zero   <- pads the header to 8 bytes
 //! offset 8..    u64 words: object header fields, then residue words
 //! ```
+//!
+//! Version 2 is the only format. A buffer carrying any other version
+//! byte — the retired field-by-field version 1 among them — is refused
+//! as [`DecodeError::BadVersion`].
 //!
 //! Word layouts after the header:
 //!
@@ -31,6 +35,10 @@
 //! * key-switch key: `digits, n, L, domain, digits·2·L·n` words
 //!   (digit `j`: `b_j` then `a_j`)
 //! * galois keys: `count`, then per key `exponent` + a key-switch body
+//!
+//! Key material at rest travels in a checksummed frame: the payload
+//! followed by its [`content_checksum`] word ([`seal_checksummed_v2`],
+//! [`open_checksummed`]).
 //!
 //! Safety note: the only `unsafe` in this crate lives in the two cast
 //! helpers here ([`bytes_as_words`] / [`words_as_bytes`]) and in the
@@ -43,10 +51,68 @@
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::keys::{GaloisKeys, KeySwitchKey, PublicKey, RelinKey};
-use crate::serialize::{DecodeError, Tag, MAGIC};
 use crate::telemetry::wire_metrics;
 use fxhenn_math::poly::{BorrowedRnsPoly, Domain, RnsPoly};
 use std::sync::OnceLock;
+
+const MAGIC: &[u8; 4] = b"FXHE";
+
+/// Type tags of the serializable objects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Ciphertext = 1,
+    Plaintext = 2,
+    PublicKey = 3,
+    RelinKey = 4,
+    GaloisKeys = 5,
+}
+
+/// Errors while decoding serialized material.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The buffer does not start with the expected magic bytes.
+    BadMagic,
+    /// Unsupported format version.
+    BadVersion(u8),
+    /// The type tag does not match the requested object.
+    WrongTag {
+        /// Tag found in the buffer.
+        found: u8,
+        /// Tag required by the decoder that was called.
+        expected: u8,
+    },
+    /// The buffer ended prematurely or carries inconsistent lengths.
+    Truncated,
+    /// A decoded field had an invalid value (e.g. zero degree).
+    InvalidField(&'static str),
+    /// A checksummed frame's content checksum did not match its payload.
+    ChecksumMismatch {
+        /// Checksum recorded in the frame.
+        stored: u64,
+        /// Checksum recomputed over the payload.
+        computed: u64,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::BadMagic => f.write_str("bad magic bytes"),
+            DecodeError::BadVersion(v) => write!(f, "unsupported format version {v}"),
+            DecodeError::WrongTag { found, expected } => {
+                write!(f, "wrong type tag {found}, expected {expected}")
+            }
+            DecodeError::Truncated => f.write_str("buffer truncated"),
+            DecodeError::InvalidField(what) => write!(f, "invalid field: {what}"),
+            DecodeError::ChecksumMismatch { stored, computed } => write!(
+                f,
+                "content checksum mismatch: frame says {stored:#018x}, payload hashes to {computed:#018x}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
 
 /// Version byte of the aligned layout.
 pub const VERSION_V2: u8 = 2;
@@ -329,7 +395,7 @@ pub fn encoded_len_ciphertext_v2(ct: &Ciphertext) -> usize {
 }
 
 /// Writer over [`AlignedBytes`] that pre-sizes exactly and debug-asserts
-/// the buffer never reallocated — the v2 twin of the v1 `Writer`.
+/// the buffer never reallocated.
 struct WireWriter {
     out: AlignedBytes,
     cap0: usize,
@@ -475,22 +541,19 @@ impl<'a> CiphertextView<'a> {
 /// Returns a [`DecodeError`] on malformed input.
 pub fn decode_ciphertext_v2(buf: &[u8]) -> Result<CiphertextView<'_>, DecodeError> {
     let words = open_v2(buf, Tag::Ciphertext)?;
-    {
-        let w = words.words();
-        let scale = parse_scale(word_at(w, 0)?)?;
-        let size = word_at(w, 1)? as usize;
-        if !(2..=3).contains(&size) {
-            return Err(DecodeError::InvalidField("polynomial count"));
-        }
-        let n = parse_degree(word_at(w, 2)?)?;
-        let levels = parse_levels(word_at(w, 3)?)?;
-        if parse_domain(word_at(w, 4)?)? != Domain::Ntt {
-            return Err(DecodeError::InvalidField("ciphertext domain"));
-        }
-        expect_len(w, CT_BODY + residue_span(size, levels, n)?)?;
-        Ok::<_, DecodeError>((scale, size, n, levels))
+    let w = words.words();
+    let scale = parse_scale(word_at(w, 0)?)?;
+    let size = word_at(w, 1)? as usize;
+    if !(2..=3).contains(&size) {
+        return Err(DecodeError::InvalidField("polynomial count"));
     }
-    .map(|(scale, size, n, levels)| CiphertextView {
+    let n = parse_degree(word_at(w, 2)?)?;
+    let levels = parse_levels(word_at(w, 3)?)?;
+    if parse_domain(word_at(w, 4)?)? != Domain::Ntt {
+        return Err(DecodeError::InvalidField("ciphertext domain"));
+    }
+    expect_len(w, CT_BODY + residue_span(size, levels, n)?)?;
+    Ok(CiphertextView {
         scale,
         size,
         n,
@@ -579,18 +642,15 @@ impl<'a> PlaintextView<'a> {
 /// Returns a [`DecodeError`] on malformed input.
 pub fn decode_plaintext_v2(buf: &[u8]) -> Result<PlaintextView<'_>, DecodeError> {
     let words = open_v2(buf, Tag::Plaintext)?;
-    {
-        let w = words.words();
-        let scale = parse_scale(word_at(w, 0)?)?;
-        let n = parse_degree(word_at(w, 1)?)?;
-        let levels = parse_levels(word_at(w, 2)?)?;
-        if parse_domain(word_at(w, 3)?)? != Domain::Ntt {
-            return Err(DecodeError::InvalidField("plaintext domain"));
-        }
-        expect_len(w, PT_BODY + residue_span(1, levels, n)?)?;
-        Ok::<_, DecodeError>((scale, n, levels))
+    let w = words.words();
+    let scale = parse_scale(word_at(w, 0)?)?;
+    let n = parse_degree(word_at(w, 1)?)?;
+    let levels = parse_levels(word_at(w, 2)?)?;
+    if parse_domain(word_at(w, 3)?)? != Domain::Ntt {
+        return Err(DecodeError::InvalidField("plaintext domain"));
     }
-    .map(|(scale, n, levels)| PlaintextView {
+    expect_len(w, PT_BODY + residue_span(1, levels, n)?)?;
+    Ok(PlaintextView {
         scale,
         n,
         levels,
@@ -675,15 +735,12 @@ impl<'a> PublicKeyView<'a> {
 /// Returns a [`DecodeError`] on malformed input.
 pub fn decode_public_key_v2(buf: &[u8]) -> Result<PublicKeyView<'_>, DecodeError> {
     let words = open_v2(buf, Tag::PublicKey)?;
-    {
-        let w = words.words();
-        let n = parse_degree(word_at(w, 0)?)?;
-        let levels = parse_levels(word_at(w, 1)?)?;
-        let domain = parse_domain(word_at(w, 2)?)?;
-        expect_len(w, PK_BODY + residue_span(2, levels, n)?)?;
-        Ok::<_, DecodeError>((n, levels, domain))
-    }
-    .map(|(n, levels, domain)| PublicKeyView {
+    let w = words.words();
+    let n = parse_degree(word_at(w, 0)?)?;
+    let levels = parse_levels(word_at(w, 1)?)?;
+    let domain = parse_domain(word_at(w, 2)?)?;
+    expect_len(w, PK_BODY + residue_span(2, levels, n)?)?;
+    Ok(PublicKeyView {
         n,
         levels,
         domain,
@@ -864,13 +921,10 @@ impl<'a> RelinKeyView<'a> {
 /// Returns a [`DecodeError`] on malformed input.
 pub fn decode_relin_key_v2(buf: &[u8]) -> Result<RelinKeyView<'_>, DecodeError> {
     let words = open_v2(buf, Tag::RelinKey)?;
-    {
-        let w = words.words();
-        let (shape, end) = parse_ksk(w, 0)?;
-        expect_len(w, end)?;
-        Ok::<_, DecodeError>(shape)
-    }
-    .map(|shape| RelinKeyView { shape, words })
+    let w = words.words();
+    let (shape, end) = parse_ksk(w, 0)?;
+    expect_len(w, end)?;
+    Ok(RelinKeyView { shape, words })
 }
 
 /// Exact v2 encoding size of a Galois key set in bytes.
@@ -965,37 +1019,107 @@ impl<'a> GaloisKeysView<'a> {
 /// Returns a [`DecodeError`] on malformed input.
 pub fn decode_galois_keys_v2(buf: &[u8]) -> Result<GaloisKeysView<'_>, DecodeError> {
     let words = open_v2(buf, Tag::GaloisKeys)?;
-    {
-        let w = words.words();
-        let count = word_at(w, 0)? as usize;
-        if count > 4096 {
-            return Err(DecodeError::InvalidField("key count"));
-        }
-        let mut entries = Vec::with_capacity(count);
-        let mut at = 1usize;
-        for _ in 0..count {
-            let g = word_at(w, at)? as usize;
-            let (shape, end) = parse_ksk(w, at + 1)?;
-            entries.push((g, shape));
-            at = end;
-        }
-        expect_len(w, at)?;
-        Ok::<_, DecodeError>(entries)
+    let w = words.words();
+    let count = word_at(w, 0)? as usize;
+    if count > 4096 {
+        return Err(DecodeError::InvalidField("key count"));
     }
-    .map(|entries| GaloisKeysView { entries, words })
+    let mut entries = Vec::with_capacity(count);
+    let mut at = 1usize;
+    for _ in 0..count {
+        let g = word_at(w, at)? as usize;
+        let (shape, end) = parse_ksk(w, at + 1)?;
+        entries.push((g, shape));
+        at = end;
+    }
+    expect_len(w, at)?;
+    Ok(GaloisKeysView { entries, words })
 }
 
 // ---------------------------------------------------------------------
-// Checksummed v2 frames (ModelCache key material)
+// Checksummed frames (ModelCache key material)
 // ---------------------------------------------------------------------
+
+/// FNV-1a-style 64-bit content checksum, folding the buffer a
+/// little-endian 64-bit word at a time (every frame is a word stream)
+/// and any tail bytewise. Each step is a bijection of the running sum,
+/// so any change confined to one word changes the result. Key frames
+/// run to ~100 MB and are summed on every model load; the
+/// byte-at-a-time form was six times slower over them.
+///
+/// Not cryptographic — the threat model is transport corruption and
+/// stale-cache bugs, not an adversary forging key material. A client
+/// that needs authenticity must sign the frame separately.
+pub fn content_checksum(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let mut h = OFFSET;
+    for w in words {
+        h ^= u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in tail {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
 
 /// Seals an aligned v2 buffer in a checksummed frame: payload followed by
 /// its 8-byte FNV-1a checksum, staying 8-byte aligned throughout.
 pub fn seal_checksummed_v2(payload: AlignedBytes) -> AlignedBytes {
-    let sum = crate::serialize::content_checksum(payload.as_bytes());
+    let sum = content_checksum(payload.as_bytes());
     let mut framed = payload;
     framed.push_word(sum);
     framed
+}
+
+/// Opens a checksummed frame: verifies the trailing checksum and
+/// returns the payload slice.
+///
+/// # Errors
+///
+/// [`DecodeError::Truncated`] when the frame is too short to carry a
+/// checksum, [`DecodeError::ChecksumMismatch`] when the payload does not
+/// hash to the stored value.
+pub fn open_checksummed(buf: &[u8]) -> Result<&[u8], DecodeError> {
+    let split = buf.len().checked_sub(8).ok_or(DecodeError::Truncated)?;
+    let (payload, tail) = buf.split_at(split);
+    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
+    let computed = content_checksum(payload);
+    if stored != computed {
+        return Err(DecodeError::ChecksumMismatch { stored, computed });
+    }
+    Ok(payload)
+}
+
+/// Deserializes a checksummed public key frame.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on a checksum mismatch or malformed input.
+pub fn decode_public_key_checksummed(buf: &[u8]) -> Result<PublicKey, DecodeError> {
+    Ok(decode_public_key_v2(open_checksummed(buf)?)?.to_owned_public_key())
+}
+
+/// Deserializes a checksummed relinearization key frame.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on a checksum mismatch or malformed input.
+pub fn decode_relin_key_checksummed(buf: &[u8]) -> Result<RelinKey, DecodeError> {
+    Ok(decode_relin_key_v2(open_checksummed(buf)?)?.to_owned_relin_key())
+}
+
+/// Deserializes a checksummed Galois key frame.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on a checksum mismatch or malformed input.
+pub fn decode_galois_keys_checksummed(buf: &[u8]) -> Result<GaloisKeys, DecodeError> {
+    Ok(decode_galois_keys_v2(open_checksummed(buf)?)?.to_owned_galois_keys())
 }
 
 // ---------------------------------------------------------------------
@@ -1183,6 +1307,7 @@ mod tests {
     use super::*;
     use crate::context::CkksContext;
     use crate::encrypt::Encryptor;
+    use crate::eval::Evaluator;
     use crate::keys::KeyGenerator;
     use crate::params::CkksParams;
     use rand::rngs::StdRng;
@@ -1305,6 +1430,34 @@ mod tests {
     }
 
     #[test]
+    fn wrong_tag_is_rejected() {
+        let ctx = ctx();
+        let ev = Evaluator::new(&ctx);
+        let pt = ev.encode_at(&[1.0], 1024.0, 2).unwrap();
+        let frame = encode_plaintext_v2(&pt);
+        assert_eq!(
+            decode_ciphertext_v2(frame.as_bytes()).unwrap_err(),
+            DecodeError::WrongTag {
+                found: Tag::Plaintext as u8,
+                expected: Tag::Ciphertext as u8
+            }
+        );
+    }
+
+    #[test]
+    fn content_checksum_sees_every_byte_of_words_and_tail() {
+        // Two whole words and a five-byte tail.
+        let base: Vec<u8> = (0..21u8).collect();
+        let sum = content_checksum(&base);
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x80;
+            assert_ne!(content_checksum(&flipped), sum, "byte {i}");
+        }
+        assert_ne!(content_checksum(&base[..20]), sum, "length");
+    }
+
+    #[test]
     fn mapped_frame_roundtrips_through_disk() {
         let ctx = ctx();
         let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(4));
@@ -1319,7 +1472,9 @@ mod tests {
         let mapped = MappedFrame::open(&path).expect("open frame");
         assert_eq!(mapped.bytes(), frame.as_bytes());
         assert_eq!(mapped.bytes().as_ptr() as usize % 8, 0, "aligned backing");
-        let payload = crate::serialize::open_checksummed(mapped.bytes()).expect("checksum");
+        let payload = open_checksummed(mapped.bytes()).expect("checksum");
+        let too_short = open_checksummed(&mapped.bytes()[..4]);
+        assert_eq!(too_short.unwrap_err(), DecodeError::Truncated);
         let view = decode_relin_key_v2(payload).expect("valid");
         if mapped.is_mapped() && !copy_fallback_forced() {
             assert!(view.is_zero_copy(), "mmap'd frame must decode borrowed");

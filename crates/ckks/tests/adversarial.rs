@@ -3,7 +3,7 @@
 //! ciphertexts yield garbage, never silently-plausible plaintexts, and
 //! malformed wire bytes are rejected without panicking.
 
-use fxhenn_ckks::serialize::{decode_ciphertext, encode_ciphertext};
+use fxhenn_ckks::wire::{decode_ciphertext_v2, encode_ciphertext_v2};
 use fxhenn_ckks::{CkksContext, CkksParams, Decryptor, Encryptor, Evaluator, KeyGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,6 +11,10 @@ use rand::SeedableRng;
 fn ctx() -> CkksContext {
     CkksContext::new(CkksParams::insecure_toy(3))
 }
+
+/// Byte offset of a ciphertext frame's first residue word: the 8-byte
+/// header, then the scale, size, degree, level and domain words.
+const CT_RESIDUES: usize = 8 + 5 * 8;
 
 /// A decryption is "garbage" when it misses every slot by a wide margin.
 fn is_garbage(got: &[f64], expected: &[f64], magnitude: f64) -> bool {
@@ -51,15 +55,16 @@ fn tampered_ciphertext_decrypts_to_garbage() {
     let values = [5.0, -2.0, 1.5];
     let ct = enc.encrypt(&values);
 
-    // Flip bits in the serialized body (past the header + scale) and
-    // decode again: every residue word corrupted shifts the mask.
-    let mut bytes = encode_ciphertext(&ct);
-    let body_start = 6 + 8 + 8 + 24; // header, scale, count, first poly header
+    // Flip bits in the frame's residue words and decode again: every
+    // residue word corrupted shifts the mask.
+    let mut bytes = encode_ciphertext_v2(&ct).as_bytes().to_vec();
     for i in 0..256 {
-        let idx = body_start + i * 64;
+        let idx = CT_RESIDUES + i * 64;
         bytes[idx] ^= 0xA5;
     }
-    let tampered = decode_ciphertext(&bytes).expect("shape still valid");
+    let tampered = decode_ciphertext_v2(&bytes)
+        .expect("shape still valid")
+        .to_owned_ciphertext();
     assert_ne!(tampered, ct);
 
     let dec = Decryptor::new(&ctx, sk);
@@ -153,70 +158,31 @@ fn decode_never_panics_on_fuzzable_inputs() {
     let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(12));
     let pk = kg.public_key();
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(13));
-    let valid = encode_ciphertext(&enc.encrypt(&[1.0]));
+    let valid = encode_ciphertext_v2(&enc.encrypt(&[1.0])).as_bytes().to_vec();
 
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(14);
-    for len in [0usize, 1, 5, 6, 7, 64, 1024] {
+    for len in [0usize, 1, 5, 6, 7, 8, 64, 1024] {
         let junk: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        let _ = decode_ciphertext(&junk); // must not panic
+        let _ = decode_ciphertext_v2(&junk); // must not panic
     }
-    // Corrupt the length fields specifically.
-    for offset in [6 + 8, 6 + 8 + 8, 6 + 8 + 8 + 8] {
+    // Corrupt the size, degree and level words specifically.
+    for offset in [8 + 8, 8 + 2 * 8, 8 + 3 * 8] {
         let mut bad = valid.clone();
         bad[offset] = 0xFF;
         bad[offset + 1] = 0xFF;
-        let _ = decode_ciphertext(&bad); // must not panic
+        assert!(decode_ciphertext_v2(&bad).is_err(), "word at byte {offset}");
     }
-}
-
-#[test]
-fn every_truncated_prefix_of_every_blob_type_is_rejected() {
-    // Exhaustive prefix fuzz: for each wire format, every strict prefix
-    // of a valid encoding must return a DecodeError — never panic,
-    // never allocate unbounded memory, never decode successfully.
-    // Exhaustive scanning is O(bytes^2), so use the smallest legal ring
-    // (N = 64, L = 2) to keep every blob in the low kilobytes.
-    use fxhenn_ckks::serialize::{
-        decode_galois_keys, decode_plaintext, decode_public_key, decode_relin_key,
-        encode_galois_keys, encode_plaintext, encode_public_key, encode_relin_key,
-    };
-
-    let ctx = CkksContext::new(CkksParams::new(64, 2, 30, 45).expect("tiny params"));
-    let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(20));
-    let pk = kg.public_key();
-    let rk = kg.relin_key();
-    let gks = kg.galois_keys(&[1, 2]);
-    let mut enc = Encryptor::new(&ctx, pk.clone(), StdRng::seed_from_u64(21));
-    let ct = enc.encrypt(&[1.0, -2.0]);
-    let ev = Evaluator::new(&ctx);
-    let pt = ev.encode_at(&[0.5, 0.25], 1024.0, 2).expect("encodable");
-
-    fn check<T>(name: &str, blob: &[u8], decode: impl Fn(&[u8]) -> Result<T, fxhenn_ckks::DecodeError>) {
-        for keep in 0..blob.len() {
-            assert!(
-                decode(&blob[..keep]).is_err(),
-                "{name}: {keep}-byte prefix of a {}-byte blob must not decode",
-                blob.len()
-            );
-        }
-        assert!(decode(blob).is_ok(), "{name}: the full blob must decode");
-    }
-
-    check("ciphertext", &encode_ciphertext(&ct), decode_ciphertext);
-    check("plaintext", &encode_plaintext(&pt), decode_plaintext);
-    check("public key", &encode_public_key(&pk), decode_public_key);
-    check("relin key", &encode_relin_key(&rk), decode_relin_key);
-    check("galois keys", &encode_galois_keys(&gks), decode_galois_keys);
 }
 
 #[test]
 fn every_truncated_prefix_of_every_v2_blob_type_is_rejected() {
-    // The same exhaustive prefix fuzz as the v1 test, against the v2
-    // aligned layout: every strict prefix of every frame type must
-    // return a DecodeError — never panic, never decode. Non-word-sized
-    // prefixes exercise the body-alignment check, word-sized ones the
-    // exact-count checks.
+    // Exhaustive prefix fuzz: every strict prefix of every frame type
+    // must return a DecodeError — never panic, never allocate unbounded
+    // memory, never decode. Non-word-sized prefixes exercise the
+    // body-alignment check, word-sized ones the exact-count checks.
+    // Exhaustive scanning is O(bytes^2), so use the smallest legal ring
+    // (N = 64, L = 2) to keep every frame in the low kilobytes.
     use fxhenn_ckks::wire::{
         decode_ciphertext_v2, decode_galois_keys_v2, decode_plaintext_v2,
         decode_public_key_v2, decode_relin_key_v2, encode_ciphertext_v2,
@@ -314,38 +280,35 @@ fn mmapped_key_frames_reject_truncation_without_panicking() {
 }
 
 #[test]
-fn structurally_inconsistent_v1_buffers_are_rejected_not_panicked() {
-    // Regression: a v1 buffer whose fields are individually parseable
-    // but mutually inconsistent (a Coeff-domain polynomial, or
-    // components of different shapes) used to reach the Ciphertext
-    // constructor's asserts and panic. The decoder must reject both
-    // with a DecodeError.
+fn structurally_inconsistent_v2_frames_are_rejected_not_panicked() {
+    // A frame whose words are individually parseable but inconsistent
+    // with a ciphertext — a Coeff-domain body, or a polynomial count the
+    // residue words do not back — must never reach the Ciphertext
+    // constructor's asserts: the decoder rejects both with a
+    // DecodeError.
     let ctx = ctx();
     let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(50));
     let pk = kg.public_key();
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(51));
-    let valid = encode_ciphertext(&enc.encrypt(&[2.0, -1.0]));
+    let valid = encode_ciphertext_v2(&enc.encrypt(&[2.0, -1.0])).as_bytes().to_vec();
 
-    // Patch the first polynomial's domain word (header, scale, count,
-    // degree, levels) from Ntt to Coeff.
-    let domain_at = 6 + 8 + 8 + 8 + 8;
+    // The domain word (header, scale, size, degree, level) from Ntt to
+    // Coeff.
+    let domain_at = 8 + 4 * 8;
     let mut coeff = valid.clone();
     coeff[domain_at] = 0;
     assert!(
-        decode_ciphertext(&coeff).is_err(),
-        "a Coeff-domain component must be rejected"
+        decode_ciphertext_v2(&coeff).is_err(),
+        "a Coeff-domain ciphertext must be rejected"
     );
 
-    // Patch the second polynomial's levels word so the components
-    // disagree about their shape (leaves trailing bytes behind, or
-    // yields mismatched components — either way an error, not a panic).
-    let poly_bytes = 24 + 3 * 1024 * 8;
-    let second_levels_at = 6 + 8 + 8 + poly_bytes + 8;
-    let mut mixed = valid.clone();
-    mixed[second_levels_at] = 1;
+    // Three polynomials declared over the residues of two.
+    let size_at = 8 + 8;
+    let mut grown = valid.clone();
+    grown[size_at] = 3;
     assert!(
-        decode_ciphertext(&mixed).is_err(),
-        "mixed component shapes must be rejected"
+        decode_ciphertext_v2(&grown).is_err(),
+        "a polynomial count the body does not back must be rejected"
     );
 }
 
@@ -361,15 +324,81 @@ fn out_of_range_residues_are_caught_by_semantic_validation() {
     let ct = enc.encrypt(&[4.0, 2.0]);
     assert!(ctx.validate_ciphertext(&ct).is_ok(), "honest ciphertexts validate");
 
-    let mut bytes = encode_ciphertext(&ct);
+    let mut bytes = encode_ciphertext_v2(&ct).as_bytes().to_vec();
     // Force the top byte of the first residue word to 0xFF: every prime
     // in the toy chain is < 2^62, so the word lands far above q_0.
-    let first_word = 6 + 8 + 8 + 24; // header, scale, count, poly header
-    bytes[first_word + 7] = 0xFF;
-    let tampered = decode_ciphertext(&bytes).expect("shape-valid");
-    let err = ctx.validate_ciphertext(&tampered).unwrap_err();
-    assert!(
-        err.to_string().contains("corrupt ciphertext"),
-        "expected a corrupt-ciphertext error, got: {err}"
-    );
+    bytes[CT_RESIDUES + 7] = 0xFF;
+    let view = decode_ciphertext_v2(&bytes).expect("shape-valid");
+    for err in [
+        ctx.validate_ciphertext_view(&view).unwrap_err(),
+        ctx.validate_ciphertext(&view.to_owned_ciphertext()).unwrap_err(),
+    ] {
+        assert!(
+            err.to_string().contains("corrupt ciphertext"),
+            "expected a corrupt-ciphertext error, got: {err}"
+        );
+    }
+}
+
+#[test]
+fn version_one_frames_get_a_typed_refusal() {
+    // Version 2 is the only format. A buffer with version byte 1 — the
+    // retired field-by-field layout — is refused as BadVersion(1) by
+    // every decoder, plain or checksummed, whether it keeps the 8-byte
+    // header or carries version 1's 6-byte one.
+    use fxhenn_ckks::wire::*;
+
+    let ctx = CkksContext::new(CkksParams::new(64, 2, 30, 45).expect("tiny params"));
+    let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(60));
+    let pk = kg.public_key();
+    let mut enc = Encryptor::new(&ctx, pk.clone(), StdRng::seed_from_u64(61));
+    let ct = enc.encrypt(&[1.0, -2.0]);
+    let pt = Evaluator::new(&ctx).encode_at(&[0.5], 1024.0, 2).expect("encodable");
+    let (rk, gks) = (kg.relin_key(), kg.galois_keys(&[1, 2]));
+
+    type Decoder = fn(&[u8]) -> Option<DecodeError>;
+    let frames: [(&str, AlignedBytes, Decoder, Option<Decoder>); 5] = [
+        ("ciphertext", encode_ciphertext_v2(&ct), |b| decode_ciphertext_v2(b).err(), None),
+        ("plaintext", encode_plaintext_v2(&pt), |b| decode_plaintext_v2(b).err(), None),
+        (
+            "public key",
+            encode_public_key_v2(&pk),
+            |b| decode_public_key_v2(b).err(),
+            Some(|b| decode_public_key_checksummed(b).err()),
+        ),
+        (
+            "relin key",
+            encode_relin_key_v2(&rk),
+            |b| decode_relin_key_v2(b).err(),
+            Some(|b| decode_relin_key_checksummed(b).err()),
+        ),
+        (
+            "galois keys",
+            encode_galois_keys_v2(&gks),
+            |b| decode_galois_keys_v2(b).err(),
+            Some(|b| decode_galois_keys_checksummed(b).err()),
+        ),
+    ];
+    /// `payload` and its checksum word, whatever its alignment.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        out.extend_from_slice(&content_checksum(payload).to_le_bytes());
+        out
+    }
+    for (name, frame, decode, decode_sealed) in frames {
+        let frame = frame.as_bytes();
+        assert_eq!(decode(frame), None, "{name}: the version-2 frame decodes");
+        let mut in_place = frame.to_vec();
+        in_place[4] = 1;
+        let mut short_header = in_place[..6].to_vec();
+        short_header.extend_from_slice(&frame[8..]);
+        for buf in [in_place, short_header] {
+            assert_eq!(decode(&buf), Some(DecodeError::BadVersion(1)), "{name}");
+            if let Some(decode_sealed) = decode_sealed {
+                assert_eq!(decode_sealed(&sealed(frame)), None, "{name}: sealed v2 opens");
+                let refused = decode_sealed(&sealed(&buf));
+                assert_eq!(refused, Some(DecodeError::BadVersion(1)), "sealed {name}");
+            }
+        }
+    }
 }

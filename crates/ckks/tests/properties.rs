@@ -162,12 +162,15 @@ proptest! {
 
     #[test]
     fn serialization_roundtrips_any_encryption(values in slot_vec(12)) {
-        use fxhenn_ckks::serialize::{decode_ciphertext, encode_ciphertext};
+        use fxhenn_ckks::wire::{decode_ciphertext_v2, encode_ciphertext_v2};
         let f = fixture();
         let mut enc = Encryptor::new(&f.ctx, f.pk.clone(), StdRng::seed_from_u64(31));
         let dec = Decryptor::new(&f.ctx, f.sk.clone());
         let ct = enc.encrypt(&values);
-        let back = decode_ciphertext(&encode_ciphertext(&ct)).expect("roundtrip");
+        let frame = encode_ciphertext_v2(&ct);
+        let back = decode_ciphertext_v2(frame.as_bytes())
+            .expect("roundtrip")
+            .to_owned_ciphertext();
         prop_assert_eq!(&back, &ct);
         let out = dec.decrypt(&back);
         assert_close(&out[..12], &values, 1e-2)?;

@@ -1,13 +1,8 @@
 //! Integration tests for the v2 aligned wire layout: round-trip
-//! properties (including the misaligned-input copy fallback), v1 → v2
-//! compatibility through the version-dispatching shims, and — the
+//! properties (including the misaligned-input copy fallback) and — the
 //! property the zero-copy read path stands on — bit-identity between
 //! owned and borrowed evaluation at three (N, L) points.
 
-use fxhenn_ckks::serialize::{
-    decode_ciphertext, decode_galois_keys, decode_plaintext, decode_public_key,
-    decode_relin_key, encode_ciphertext, encode_plaintext,
-};
 use fxhenn_ckks::wire::{
     decode_ciphertext_v2, decode_galois_keys_v2, decode_plaintext_v2, decode_public_key_v2,
     decode_relin_key_v2, encode_ciphertext_v2, encode_galois_keys_v2, encode_plaintext_v2,
@@ -95,28 +90,7 @@ proptest! {
 }
 
 #[test]
-fn v1_decoders_upgrade_v2_frames_transparently() {
-    // The v1 entry points are version-dispatching shims: handed a v2
-    // frame they decode through the borrowed view, handed a v1 buffer
-    // they parse the legacy layout — both land on the same object.
-    let ctx = ctx_at(256, 3);
-    let ct = encrypt_at(&ctx, 31, &[1.0, -2.5, 0.125]);
-
-    let via_v1 = decode_ciphertext(&encode_ciphertext(&ct)).expect("v1 round-trip");
-    let via_v2 = decode_ciphertext(encode_ciphertext_v2(&ct).as_bytes()).expect("v2 dispatch");
-    assert_eq!(via_v1, ct);
-    assert_eq!(via_v2, ct);
-
-    let ev = Evaluator::new(&ctx);
-    let pt = ev.encode_for_mul(&[0.5, 0.25], 3).expect("encodable");
-    let via_v1 = decode_plaintext(&encode_plaintext(&pt)).expect("v1 round-trip");
-    let via_v2 = decode_plaintext(encode_plaintext_v2(&pt).as_bytes()).expect("v2 dispatch");
-    assert_eq!(via_v1, pt);
-    assert_eq!(via_v2, pt);
-}
-
-#[test]
-fn key_frames_round_trip_bit_identically_through_both_versions() {
+fn key_frames_round_trip_bit_identically() {
     // Keys have no PartialEq, so bit-identity is checked on the re-encoded
     // v2 frames — which cover every limb word of every digit.
     let ctx = ctx_at(64, 2);
@@ -131,22 +105,12 @@ fn key_frames_round_trip_bit_identically_through_both_versions() {
         encode_public_key_v2(&pk_view.to_owned_public_key()).as_bytes(),
         pk_frame.as_bytes()
     );
-    let through_shim = decode_public_key(pk_frame.as_bytes()).expect("pk shim");
-    assert_eq!(
-        encode_public_key_v2(&through_shim).as_bytes(),
-        pk_frame.as_bytes()
-    );
 
     let rk_frame = encode_relin_key_v2(&rk);
     let rk_view = decode_relin_key_v2(rk_frame.as_bytes()).expect("rk view");
     ctx.validate_relin_key_view(&rk_view).expect("honest key");
     assert_eq!(
         encode_relin_key_v2(&rk_view.to_owned_relin_key()).as_bytes(),
-        rk_frame.as_bytes()
-    );
-    let through_shim = decode_relin_key(rk_frame.as_bytes()).expect("rk shim");
-    assert_eq!(
-        encode_relin_key_v2(&through_shim).as_bytes(),
         rk_frame.as_bytes()
     );
 
@@ -156,11 +120,6 @@ fn key_frames_round_trip_bit_identically_through_both_versions() {
     assert_eq!(gk_view.len(), 2);
     assert_eq!(
         encode_galois_keys_v2(&gk_view.to_owned_galois_keys()).as_bytes(),
-        gk_frame.as_bytes()
-    );
-    let through_shim = decode_galois_keys(gk_frame.as_bytes()).expect("gk shim");
-    assert_eq!(
-        encode_galois_keys_v2(&through_shim).as_bytes(),
         gk_frame.as_bytes()
     );
 }

@@ -1739,6 +1739,8 @@ impl ModelCache {
         let galois_keys = decode_galois_keys_checksummed(e.galois_frame.bytes())
             .map_err(|err| format!("galois key frame: {err}"))?;
         let ctx = CkksContext::new(e.params.clone());
+        ctx.validate_public_key(&public_key)
+            .map_err(|err| format!("public key range check: {err}"))?;
         ctx.validate_relin_key(&relin_key)
             .map_err(|err| format!("relin key range check: {err}"))?;
         ctx.validate_galois_keys(&galois_keys)

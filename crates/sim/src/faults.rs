@@ -86,12 +86,6 @@ pub fn flip_bit(blob: &[u8], bit: usize) -> Vec<u8> {
     out
 }
 
-/// Every proper prefix length of a blob, shortest first — the sweep the
-/// truncation fuzzer walks.
-pub fn prefix_lengths(blob: &[u8]) -> impl Iterator<Item = usize> {
-    0..blob.len()
-}
-
 /// Overwrites one weight of the first weighted layer (convolution or
 /// dense) with `value` — e.g. `f64::NAN` to model a corrupted model
 /// file. Returns `false` if the network has no weighted layer.

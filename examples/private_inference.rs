@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example private_inference`
 
 use fxhenn::ckks::noise::{square_step, NoiseEstimate};
-use fxhenn::ckks::serialize::{decode_ciphertext, encode_ciphertext};
+use fxhenn::ckks::wire::{decode_ciphertext_v2, encode_ciphertext_v2};
 use fxhenn::ckks::{CkksContext, CkksParams, Decryptor, Encryptor, KeyGenerator};
 use fxhenn::nn::executor::{encrypt_input, HeCnnExecutor};
 use fxhenn::nn::{
@@ -61,7 +61,7 @@ fn main() {
         .groups
         .iter()
         .flatten()
-        .map(|ct| encode_ciphertext(ct).len())
+        .map(|ct| encode_ciphertext_v2(ct).len())
         .sum();
     println!(
         "{} input ciphertexts, {:.1} KB on the wire (true label: class {label})",
@@ -70,8 +70,11 @@ fn main() {
     );
     // Round-trip one ciphertext through the wire format.
     let sample = &input.groups[0][0];
+    let frame = encode_ciphertext_v2(sample);
     assert_eq!(
-        decode_ciphertext(&encode_ciphertext(sample)).expect("wire format"),
+        decode_ciphertext_v2(frame.as_bytes())
+            .expect("wire format")
+            .to_owned_ciphertext(),
         *sample
     );
 

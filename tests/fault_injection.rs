@@ -24,8 +24,8 @@
 //! The hang-class tests run under a watchdog thread so a regression
 //! fails the suite instead of hanging it.
 
-use fxhenn::ckks::serialize::{
-    decode_ciphertext, decode_relin_key, encode_ciphertext, encode_relin_key,
+use fxhenn::ckks::wire::{
+    decode_ciphertext_v2, decode_relin_key_v2, encode_ciphertext_v2, encode_relin_key_v2,
 };
 use fxhenn::ckks::{CkksContext, CkksParams, Decryptor, Encryptor, EvalError, KeyGenerator};
 use fxhenn::dse::{
@@ -70,11 +70,12 @@ fn every_ciphertext_prefix_is_rejected_without_panic() {
     let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(1));
     let pk = kg.public_key();
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(2));
-    let blob = encode_ciphertext(&enc.encrypt(&[1.0, -2.0, 3.0]));
+    let frame = encode_ciphertext_v2(&enc.encrypt(&[1.0, -2.0, 3.0]));
+    let blob = frame.as_bytes();
     for keep in 0..blob.len() {
-        let truncated = truncate_blob(&blob, keep);
+        let truncated = truncate_blob(blob, keep);
         assert!(
-            decode_ciphertext(&truncated).is_err(),
+            decode_ciphertext_v2(&truncated).is_err(),
             "prefix of {keep}/{} bytes must not decode",
             blob.len()
         );
@@ -85,10 +86,11 @@ fn every_ciphertext_prefix_is_rejected_without_panic() {
 fn every_relin_key_prefix_is_rejected_without_panic() {
     let ctx = toy_ctx();
     let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(3));
-    let blob = encode_relin_key(&kg.relin_key());
+    let frame = encode_relin_key_v2(&kg.relin_key());
+    let blob = frame.as_bytes();
     for keep in 0..blob.len() {
         assert!(
-            decode_relin_key(&truncate_blob(&blob, keep)).is_err(),
+            decode_relin_key_v2(&truncate_blob(blob, keep)).is_err(),
             "key prefix of {keep} bytes must not decode"
         );
     }
@@ -104,21 +106,30 @@ fn bit_flipped_ciphertexts_never_panic_and_never_pass_unnoticed() {
     let sk = kg.secret_key();
     let mut enc = Encryptor::new(&ctx, pk, StdRng::seed_from_u64(5));
     let ct = enc.encrypt(&[1.0, -2.0, 3.0]);
-    let blob = encode_ciphertext(&ct);
+    let frame = encode_ciphertext_v2(&ct);
+    let blob = frame.as_bytes();
     let dec = Decryptor::new(&ctx, sk);
     // Walk bit positions across the whole blob, header included.
     for bit in (0..blob.len() * 8).step_by(97) {
-        let corrupted = flip_bit(&blob, bit);
-        match decode_ciphertext(&corrupted) {
+        let corrupted = flip_bit(blob, bit);
+        match decode_ciphertext_v2(&corrupted) {
             // Structural damage: rejected with a typed error. Good.
             Err(_) => {}
             // Payload damage: the decode is shape-valid but the
             // ciphertext is not the one that was sent. Semantic
-            // validation against the context must either reject it with
-            // a typed error, or pass it through to a panic-free decrypt.
-            Ok(tampered) => {
+            // validation against the context — on the view, as the serve
+            // path runs it, and on the owned copy — must either reject it
+            // with a typed error, or pass it through to a panic-free
+            // decrypt.
+            Ok(view) => {
+                let tampered = view.to_owned_ciphertext();
                 assert_ne!(tampered, ct, "bit {bit}: flip must change the ciphertext");
-                match ctx.validate_ciphertext(&tampered) {
+                let checks = [
+                    ctx.validate_ciphertext_view(&view),
+                    ctx.validate_ciphertext(&tampered),
+                ];
+                assert_eq!(checks[0], checks[1], "bit {bit}: view and owned checks differ");
+                match &checks[0] {
                     Err(EvalError::CorruptCiphertext { .. }) => {}
                     Err(other) => panic!("bit {bit}: unexpected error {other}"),
                     Ok(()) => {
@@ -137,12 +148,17 @@ fn bit_flipped_relin_keys_never_panic() {
     let ctx = toy_ctx();
     let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(6));
     let rk = kg.relin_key();
-    let blob = encode_relin_key(&rk);
+    let frame = encode_relin_key_v2(&rk);
+    let blob = frame.as_bytes();
     for bit in (0..blob.len() * 8).step_by(131) {
-        match decode_relin_key(&flip_bit(&blob, bit)) {
+        match decode_relin_key_v2(&flip_bit(blob, bit)) {
             Err(_) => {}
             // RelinKey has no PartialEq; compare canonical encodings.
-            Ok(tampered) => assert_ne!(encode_relin_key(&tampered), blob, "bit {bit}"),
+            Ok(view) => assert_ne!(
+                encode_relin_key_v2(&view.to_owned_relin_key()).as_bytes(),
+                blob,
+                "bit {bit}"
+            ),
         }
     }
 }
