@@ -577,15 +577,40 @@ impl CkksContext {
         self.require_top_level(rk.0.limb_count())
     }
 
+    /// A Galois key set's exponents must name distinct automorphisms
+    /// `X ↦ X^g` of this ring: each odd and below `2N`, none twice. (An
+    /// odd exponent no rotation uses still names an automorphism, so it
+    /// passes.) A key stored under a malformed exponent would surface as
+    /// a missing key at rotation time, and of a repeated one only the
+    /// first body would ever be checked or used.
+    fn check_galois_exponents(&self, exponents: &[usize]) -> Result<(), EvalError> {
+        if exponents.iter().any(|&g| g % 2 == 0 || g >= 2 * self.degree()) {
+            return Err(EvalError::CorruptKeyMaterial {
+                what: "Galois exponent even or not below 2N",
+            });
+        }
+        let mut sorted = exponents.to_vec();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return Err(EvalError::CorruptKeyMaterial {
+                what: "Galois exponent repeated",
+            });
+        }
+        Ok(())
+    }
+
     /// Validates every key in a Galois key set (see
-    /// [`validate_key_switch_key`](Self::validate_key_switch_key)); the
-    /// keys may be cut to different levels.
+    /// [`validate_key_switch_key`](Self::validate_key_switch_key)) and
+    /// the exponents they are stored under; the keys may be cut to
+    /// different levels.
     ///
     /// # Errors
     ///
     /// Returns [`EvalError::CorruptKeyMaterial`] naming the failed check.
     pub fn validate_galois_keys(&self, gks: &crate::keys::GaloisKeys) -> Result<(), EvalError> {
-        for g in gks.exponents() {
+        let exponents = gks.exponents();
+        self.check_galois_exponents(&exponents)?;
+        for g in exponents {
             if let Some(ksk) = gks.key(g) {
                 self.validate_key_switch_key(ksk)?;
             }
@@ -625,7 +650,10 @@ impl CkksContext {
     }
 
     /// Validates every key in a Galois-key view in place (see
-    /// [`validate_key_switch_ref`](Self::validate_key_switch_ref)).
+    /// [`validate_key_switch_ref`](Self::validate_key_switch_ref)) and
+    /// the exponents they are stored under. A frame can repeat an
+    /// exponent that an owned [`GaloisKeys`](crate::keys::GaloisKeys)
+    /// would collapse, so a frame is checked here, before it is owned.
     ///
     /// # Errors
     ///
@@ -634,7 +662,9 @@ impl CkksContext {
         &self,
         gks: &crate::wire::GaloisKeysView<'_>,
     ) -> Result<(), EvalError> {
-        for g in gks.exponents() {
+        let exponents = gks.exponents();
+        self.check_galois_exponents(&exponents)?;
+        for g in exponents {
             if let Some(ksk) = gks.key(g) {
                 self.validate_key_switch_ref(&ksk)?;
             }

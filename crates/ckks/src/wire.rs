@@ -1264,15 +1264,6 @@ impl MappedFrame {
         })
     }
 
-    /// Wraps an in-memory buffer (testing and non-file sources).
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        let mut buf = AlignedBytes::with_byte_capacity(bytes.len());
-        buf.extend_from_slice(bytes);
-        Self {
-            backing: FrameBacking::Owned(buf),
-        }
-    }
-
     /// The frame contents; 8-byte aligned in both backings.
     pub fn bytes(&self) -> &[u8] {
         match &self.backing {
@@ -1338,31 +1329,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_ciphertext_view_is_zero_copy_on_aligned_input() {
-        let ctx = ctx();
-        let ct = sample_ct(&ctx);
-        let buf = encode_ciphertext_v2(&ct);
-        let view = decode_ciphertext_v2(buf.as_bytes()).expect("valid");
-        if !copy_fallback_forced() {
-            assert!(view.is_zero_copy(), "aligned input must borrow");
-        }
-        assert_eq!(view.to_owned_ciphertext(), ct);
-    }
-
-    #[test]
-    fn v2_misaligned_input_takes_copy_fallback_and_still_decodes() {
-        let ctx = ctx();
-        let ct = sample_ct(&ctx);
-        let buf = encode_ciphertext_v2(&ct);
-        // Shift by one byte so the word region cannot be borrowed.
-        let mut shifted = vec![0u8; buf.len() + 1];
-        shifted[1..].copy_from_slice(buf.as_bytes());
-        let view = decode_ciphertext_v2(&shifted[1..]).expect("valid");
-        assert!(!view.is_zero_copy(), "misaligned input must copy");
-        assert_eq!(view.to_owned_ciphertext(), ct);
-    }
-
-    #[test]
     fn v2_rejects_malformed_headers() {
         let ctx = ctx();
         let ct = sample_ct(&ctx);
@@ -1396,37 +1362,6 @@ mod tests {
             decode_ciphertext_v2(&bad).unwrap_err(),
             DecodeError::InvalidField("trailing bytes")
         );
-    }
-
-    #[test]
-    fn v2_key_frames_roundtrip() {
-        let ctx = ctx();
-        let mut kg = KeyGenerator::new(&ctx, StdRng::seed_from_u64(3));
-        let pk = kg.public_key();
-        let rk = kg.relin_key();
-        let gks = kg.galois_keys(&[1, 2]);
-
-        let pkv = decode_public_key_v2(encode_public_key_v2(&pk).as_bytes().to_vec().as_slice())
-            .map(|v| v.to_owned_public_key());
-        // Round-trip through a fresh Vec (alignment not guaranteed) still
-        // decodes; equality is checked on the re-encoded bytes.
-        assert!(pkv.is_ok());
-
-        let rk_buf = encode_relin_key_v2(&rk);
-        let rk2 = decode_relin_key_v2(rk_buf.as_bytes())
-            .expect("valid")
-            .to_owned_relin_key();
-        ctx.validate_relin_key(&rk2).expect("valid key material");
-
-        let gk_buf = encode_galois_keys_v2(&gks);
-        let gkv = decode_galois_keys_v2(gk_buf.as_bytes()).expect("valid");
-        assert_eq!(gkv.exponents(), gks.exponents());
-        let gks2 = gkv.to_owned_galois_keys();
-        ctx.validate_galois_keys(&gks2).expect("valid key material");
-        for g in gks.exponents() {
-            assert!(gkv.key(g).is_some());
-        }
-        assert!(gkv.key(9999).is_none());
     }
 
     #[test]

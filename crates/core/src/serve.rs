@@ -61,14 +61,13 @@
 use crate::flow::{generate_accelerator, DesignReport, FlowError};
 use crate::telemetry::{serve_metrics, tenant_metrics, TenantMetrics};
 use fxhenn_ckks::wire::{
-    encode_ciphertext_v2, encode_galois_keys_v2, encode_public_key_v2, encode_relin_key_v2,
-    seal_checksummed_v2, AlignedBytes, MappedFrame,
+    decode_galois_keys_v2, encode_ciphertext_v2, encode_galois_keys_v2, encode_public_key_v2,
+    encode_relin_key_v2, open_checksummed, seal_checksummed_v2, AlignedBytes, MappedFrame,
 };
 use fxhenn_ckks::{
-    decode_galois_keys_checksummed, decode_public_key_checksummed, decode_relin_key_checksummed,
-    Canary, Ciphertext, CkksContext, CkksParams, Encryptor, Evaluator, GaloisKeys, HeOpKind,
-    KeyGenerator, PublicKey, RelinKey, RotationSet, SignPreset, DEFAULT_CANARY_MARGIN,
-    DEFAULT_CANARY_SLOTS,
+    decode_public_key_checksummed, decode_relin_key_checksummed, Canary, Ciphertext, CkksContext,
+    CkksParams, Encryptor, Evaluator, GaloisKeys, HeOpKind, KeyGenerator, PublicKey, RelinKey,
+    RotationSet, SignPreset, DEFAULT_CANARY_MARGIN, DEFAULT_CANARY_SLOTS,
 };
 use fxhenn_hw::modules::{HeOpModule, ModuleConfig, OpClass};
 use fxhenn_hw::FpgaDevice;
@@ -1736,15 +1735,19 @@ impl ModelCache {
             .map_err(|err| format!("public key frame: {err}"))?;
         let relin_key = decode_relin_key_checksummed(e.relin_frame.bytes())
             .map_err(|err| format!("relin key frame: {err}"))?;
-        let galois_keys = decode_galois_keys_checksummed(e.galois_frame.bytes())
+        let galois_view = open_checksummed(e.galois_frame.bytes())
+            .and_then(decode_galois_keys_v2)
             .map_err(|err| format!("galois key frame: {err}"))?;
         let ctx = CkksContext::new(e.params.clone());
         ctx.validate_public_key(&public_key)
             .map_err(|err| format!("public key range check: {err}"))?;
         ctx.validate_relin_key(&relin_key)
             .map_err(|err| format!("relin key range check: {err}"))?;
-        ctx.validate_galois_keys(&galois_keys)
+        // The frame is checked before it is owned: an owned key set would
+        // collapse a repeated exponent.
+        ctx.validate_galois_keys_view(&galois_view)
             .map_err(|err| format!("galois key range check: {err}"))?;
+        let galois_keys = galois_view.to_owned_galois_keys();
         Ok(VerifiedModel {
             params: e.params.clone(),
             public_key,

@@ -2,15 +2,17 @@
 //! rest: `store_to_dir` writes the honest public, relinearization and
 //! Galois frames of a model on the smallest legal ring; each case mutates
 //! one of them on disk — a shape word (key count, exponent, digit count,
-//! degree, limb count, domain), a header byte, a residue word, a cut, a
-//! pad or a flipped checksum bit — reseals half of the mutants so the
-//! change gets past the checksum to the decoder and the range checks, and
-//! then runs `load_from_dir` → `verify`.
+//! degree, limb count, domain), a malformed Galois exponent, a header
+//! byte, a residue word, a cut, a pad or a flipped checksum bit — reseals
+//! half of the mutants so the change gets past the checksum to the
+//! decoder and the range checks, and then runs `load_from_dir` →
+//! `verify`.
 //!
 //! Every mutant must come back as an `Err` — a checksum mismatch when the
 //! checksum no longer matches — or verify to keys that are not the honest
 //! ones (their re-encoded frame differs) and that encrypt without a
-//! panic. No case may panic.
+//! panic. A resealed malformed exponent must be refused. No case may
+//! panic.
 
 use fxhenn::ckks::wire::{
     encode_galois_keys_v2, encode_public_key_v2, encode_relin_key_v2, seal_checksummed_v2,
@@ -63,6 +65,15 @@ fn honest() -> &'static [Vec<u8>; 3] {
     })
 }
 
+/// Payload word indices of the Galois frame's two exponents. The frame
+/// holds a key count, then per key its exponent and four shape words
+/// (digits, degree, limbs, domain) ahead of its residues.
+fn exponent_words() -> [usize; 2] {
+    let g = &honest()[2];
+    let residues = word(g, 2) * 2 * word(g, 3) * word(g, 4);
+    [1, 6 + residues as usize]
+}
+
 /// Payload word indices of frame `frame`'s shape words, and of its first
 /// residue word.
 fn layout(frame: usize) -> (Vec<usize>, usize) {
@@ -70,11 +81,7 @@ fn layout(frame: usize) -> (Vec<usize>, usize) {
         0 => (vec![0, 1, 2], 3),
         1 => (vec![0, 1, 2, 3], 4),
         _ => {
-            // Key count, then per key its exponent and four shape words
-            // (digits, degree, limbs, domain) ahead of its residues.
-            let g = &honest()[2];
-            let residues = word(g, 2) * 2 * word(g, 3) * word(g, 4);
-            let second = 6 + residues as usize;
+            let [_, second] = exponent_words();
             let mut words: Vec<usize> = (0..6).collect();
             words.extend(second..second + 5);
             (words, 6)
@@ -87,6 +94,9 @@ fn layout(frame: usize) -> (Vec<usize>, usize) {
 enum Mutation {
     /// Shape word `.0` (an index into the frame's shape words) set to `.1`.
     ShapeWord(usize, u64),
+    /// The Galois exponent of key `.0` set to the malformed value `.1`
+    /// picks: even, `2N`, far above `2N`, or the other key's exponent.
+    Exponent(usize, usize),
     /// Header byte `.0` (magic, version, tag, reserved) set to `.1`.
     HeaderByte(usize, u8),
     /// Body word `.0` set to the value `.1` picks: a small reduced value,
@@ -111,7 +121,7 @@ fn case() -> impl Strategy<Value = Case> {
     let value = prop::sample::select(vec![
         0u64, 1, 2, 3, 4, 5, 32, 63, 64, 65, 128, 4096, 1 << 20, (1 << 20) + 1, u64::MAX,
     ]);
-    (0usize..3, 0usize..6, 0usize..4096, value, any::<u8>(), any::<bool>()).prop_map(
+    (0usize..3, 0usize..7, 0usize..4096, value, any::<u8>(), any::<bool>()).prop_map(
         |(frame, kind, at, value, byte, reseal)| {
             let mutation = match kind {
                 0 => Mutation::ShapeWord(at, value),
@@ -119,10 +129,12 @@ fn case() -> impl Strategy<Value = Case> {
                 2 => Mutation::Residue(at, usize::from(byte % 4)),
                 3 => Mutation::Truncate(1 + at % 64),
                 4 => Mutation::Pad(1 + at % 16),
+                5 => Mutation::Exponent(at % 2, usize::from(byte % 4)),
                 _ => Mutation::FlipChecksum((at % 64) as u32),
             };
             Case {
-                frame,
+                // Only the Galois frame stores exponents.
+                frame: if kind == 5 { 2 } else { frame },
                 mutation,
                 reseal,
             }
@@ -145,6 +157,12 @@ fn mutate(c: &Case) -> Vec<u8> {
     let (shape, first_residue) = layout(c.frame);
     match c.mutation {
         Mutation::ShapeWord(i, value) => set_word(&mut payload, shape[i % shape.len()], value),
+        Mutation::Exponent(key, pick) => {
+            let words = exponent_words();
+            let two_n = 2 * params().degree() as u64;
+            let other = word(&payload, words[1 - key]);
+            set_word(&mut payload, words[key], [2, two_n, 4096, other][pick]);
+        }
         Mutation::HeaderByte(i, value) => {
             payload[i] = if payload[i] == value { value ^ 0x80 } else { value };
         }
@@ -244,6 +262,9 @@ proptest! {
                 "{c:?} failed on something other than its checksum: {err}"
             ),
             Ok(_) if stale_checksum => prop_assert!(false, "{c:?} verified a stale checksum"),
+            Ok(_) if matches!(c.mutation, Mutation::Exponent(..)) => {
+                prop_assert!(false, "{c:?} verified a malformed exponent")
+            }
             Ok(verified) => {
                 prop_assert!(
                     reencoded(&verified, c.frame) != honest()[c.frame],

@@ -120,7 +120,9 @@ impl Tensor {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
     }
 
-    /// Index of the maximum element (argmax over flat data).
+    /// Index of the maximum element (argmax over flat data). NaN-safe:
+    /// `total_cmp` orders a NaN above every number, so a diverged
+    /// network yields an index instead of a panic.
     ///
     /// # Panics
     ///
@@ -130,7 +132,7 @@ impl Tensor {
         self.data
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaNs in tensors"))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .expect("non-empty")
     }
@@ -181,6 +183,12 @@ mod tests {
         let t = Tensor::from_data(&[4], vec![1.0, -5.0, 3.0, 2.0]);
         assert_eq!(t.argmax(), 2);
         assert_eq!(t.max_abs(), 5.0);
+    }
+
+    #[test]
+    fn argmax_of_a_nan_tensor_does_not_panic() {
+        let t = Tensor::from_data(&[3], vec![1.0, f64::NAN, 3.0]);
+        assert_eq!(t.argmax(), 1, "NaN orders above every number");
     }
 
     #[test]

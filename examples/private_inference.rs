@@ -22,7 +22,13 @@ fn main() {
     let mut net = fxhenn::nn::toy_mnist_like(21);
     let task = SyntheticTask::new(net.input_shape(), 4, 0.15, 5);
     let before = accuracy(&net, &task, 300, 1);
-    let loss = train(&mut net, &task, &TrainConfig::default());
+    // Plain SGD on this square-activated net diverges at the default
+    // learning rate of 0.02; half of it converges.
+    let config = TrainConfig {
+        learning_rate: 0.01,
+        ..TrainConfig::default()
+    };
+    let loss = train(&mut net, &task, &config);
     let after = accuracy(&net, &task, 300, 1);
     println!("accuracy: {before:.1}% -> {after:.1}% (final loss {loss:.3})",
         before = before * 100.0, after = after * 100.0);
